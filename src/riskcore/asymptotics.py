@@ -4,7 +4,6 @@ diagnostics the limit theorems are checked against."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -15,7 +14,12 @@ import numpy as np
 from .core import Sample
 from .errors import DomainError, NonFiniteVariance
 from .population import ReferenceDistribution
-from .quadrature import integrate_piecewise
+from .quadrature import (
+    DEFAULT_MAX_EVALS,
+    _gauss_kronrod,
+    _panels,
+    integrate_piecewise,
+)
 from .spectra import Spectrum, canonical_weights
 
 #: truncation of the variance double integral, per side
@@ -60,8 +64,8 @@ def indexed_map(
 
 def _spectrum_at_cdf(
     phi: Spectrum, dist: ReferenceDistribution
-) -> Callable[[float], float]:
-    """t -> phi(F(t)), clamped into the spectrum's open domain.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> phi(F(t)) on arrays, clamped into the spectrum's open domain.
 
     Substituting u = F(x) turns every q'-weighted integral over (0, 1)
     into an integral of bounded functions over the quantile range: the
@@ -71,9 +75,8 @@ def _spectrum_at_cdf(
     if dist.kind == "point_mass":
         raise DomainError("influence analysis needs a distribution with a density")
 
-    def phi_f(t: float) -> float:
-        u = min(max(float(dist.cdf(t)), 1e-300), 1.0)
-        return float(phi.density(u))
+    def phi_f(t: np.ndarray) -> np.ndarray:
+        return phi.density(np.clip(dist.cdf(t), 1e-300, 1.0))
 
     return phi_f
 
@@ -102,13 +105,13 @@ def influence_function(
     below = 0.0
     if x > lo_x:
         below = integrate_piecewise(
-            lambda t: float(dist.cdf(t)) * phi_f(t),
+            lambda t: dist.cdf(t) * phi_f(t),
             lo_x, min(x, hi_x), breakpoints=cuts, tol=0.5 * tol,
         )
     above = 0.0
     if x < hi_x:
         above = integrate_piecewise(
-            lambda t: (1.0 - float(dist.cdf(t))) * phi_f(t),
+            lambda t: (1.0 - dist.cdf(t)) * phi_f(t),
             max(x, lo_x), hi_x, breakpoints=cuts, tol=0.5 * tol,
         )
     return above - below
@@ -170,27 +173,22 @@ def asymptotic_variance(
     lo_x, hi_x = float(dist.quantile(lo)), float(dist.quantile(hi))
     cuts = _quantile_cuts(phi, dist, lo, hi)
 
-    # memoised cumulative inner integral over [lo_x, t]
-    anchors: List[float] = [lo_x]
-    values: List[float] = [0.0]
+    def inner(s: np.ndarray) -> np.ndarray:
+        return dist.cdf(s) * phi_f(s)
 
-    def inner(t: float) -> float:
-        pos = bisect.bisect_right(anchors, t) - 1
-        base_t, base_v = anchors[pos], values[pos]
-        if t == base_t:
-            return base_v
-        piece = integrate_piecewise(
-            lambda s: float(dist.cdf(s)) * phi_f(s),
-            base_t, t, breakpoints=cuts, tol=1e-12,
-        )
-        v = base_v + piece
-        at = bisect.bisect_left(anchors, t)
-        anchors.insert(at, t)
-        values.insert(at, v)
-        return v
+    # the inner integral G(t) over [lo_x, t]: one adaptive partition, the
+    # running sum at its panel starts, then one G7K15 rule from the start
+    # of t's panel to t, for all outer nodes in a single call
+    starts, _, pieces = _panels(
+        inner, lo_x, hi_x, cuts, 1e-12, DEFAULT_MAX_EVALS
+    )
+    base = np.concatenate([[0.0], np.cumsum(pieces[:-1])])
 
-    def outer(t: float) -> float:
-        return (1.0 - float(dist.cdf(t))) * phi_f(t) * inner(t)
+    def outer(t: np.ndarray) -> np.ndarray:
+        j = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, None)
+        rest = _gauss_kronrod(inner, starts[j].ravel(), t.ravel())[0]
+        g = base[j] + rest.reshape(t.shape)
+        return (1.0 - dist.cdf(t)) * phi_f(t) * g
 
     # coarse pass fixes the magnitude, the second pass delivers 1e-6
     # relative accuracy (never looser than the absolute tol argument)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -42,8 +43,12 @@ from .spectra import canonical_weights, spectrum_from_json
 
 
 def fmt(value: float) -> str:
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(value))
+    """Shortest decimal that round-trips the float exactly. A non-finite
+    value is an error, never a result."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise RiskError(f"result is not finite: {v}")
+    return repr(v)
 
 
 def read_sample(path: str) -> Sample:
@@ -455,7 +460,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow surfaces as a non-finite result, which fmt rejects
+        with np.errstate(over="ignore"):
+            return args.fn(args)
     except RiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,6 @@ weighted sums of negated order statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -28,6 +27,8 @@ SUM_TOL = 1e-12
 ENTRY_SLACK = 1e-15
 #: slack allowed in the non-increasing certificate
 MONOTONE_SLACK = 1e-15
+#: n * alpha within this many ulps of an integer k is read as k
+LEVEL_ULPS = 4
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -208,12 +209,27 @@ def sort_sample(x: Sample) -> SortedSample:
     return SortedSample(x.values[order], order)
 
 
+def ceil_level(n: int, alpha: Union[float, np.ndarray]) -> Union[int, np.ndarray]:
+    """ceil(n * alpha), reading n * alpha as the integer k when it lies
+    within LEVEL_ULPS ulps of k.
+
+    The float nearest k/n times n can land an ulp above k (n = 100,
+    alpha = 0.07 gives 7.000000000000001), and a bare ceil would then
+    select level k + 1. Every level that picks an order statistic or a
+    step goes through here, so alpha = k/n always selects k.
+    """
+    x = np.multiply(n, alpha, dtype=np.float64)
+    k = np.rint(x)
+    snap = (k >= 1.0) & (np.abs(x - k) <= LEVEL_ULPS * np.spacing(k))
+    out = np.ceil(np.where(snap, k, x)).astype(np.int64)
+    return int(out) if out.ndim == 0 else out
+
+
 def empirical_quantile(s: SortedSample, alpha: float) -> float:
     """Empirical quantile q_n(alpha) = x_{ceil(n*alpha):n} for alpha in (0, 1]."""
     if not (0.0 < alpha <= 1.0):
         raise AlphaOutOfRange(f"alpha must lie in (0, 1], got {alpha}")
-    idx = math.ceil(s.n * alpha)
-    return float(s.values[idx - 1])
+    return float(s.values[ceil_level(s.n, alpha) - 1])
 
 
 def t_map(a: WeightVector) -> Mixture:

@@ -19,7 +19,7 @@ from .asymptotics import (
     kolmogorov_distance,
     truncated_kolmogorov,
 )
-from .core import RepresentingSet, Sample
+from .core import RepresentingSet, Sample, ceil_level
 from .errors import (
     DegenerateFit,
     DegenerateVariance,
@@ -226,6 +226,8 @@ def check_axioms(
     invariance and comonotonic additivity only apply to estimators
     claiming those properties, so they can be switched off.
     """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
 
@@ -605,7 +607,7 @@ def kusuoka_grid_gap(
     n = x.n
 
     def assigned(grid: int) -> np.ndarray:
-        j = np.ceil(grid * levels).astype(np.int64)
+        j = ceil_level(grid, levels)
         # k = ceil(n * j / grid) in exact integer arithmetic
         k = np.minimum(-((-n * j) // grid), n)
         return es[k - 1]

@@ -1,6 +1,10 @@
 """Reference distributions with exact CDF/quantile/density accessors and
 closed-form tail integrals, plus population risk values used as ground
-truth by the experiment drivers."""
+truth by the experiment drivers.
+
+scipy.special is imported inside the normal-law branches only: it is
+most of the cold-start cost of the CLI, and only normal laws need it.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import AlphaOutOfRange, DomainError, QuadratureFailure
 from .quadrature import integrate_piecewise
@@ -71,6 +74,8 @@ class ReferenceDistribution:
             a, b = self.params["a"], self.params["b"]
             out = np.clip((x - a) / (b - a), 0.0, 1.0)
         elif self.kind == "normal":
+            from scipy.special import ndtr
+
             out = ndtr((x - self.params["mean"]) / self.params["sd"])
         elif self.kind == "exponential":
             out = np.where(x < 0.0, 0.0, -np.expm1(-self.params["rate"] * np.maximum(x, 0.0)))
@@ -86,6 +91,8 @@ class ReferenceDistribution:
             a, b = self.params["a"], self.params["b"]
             out = a + u * (b - a)
         elif self.kind == "normal":
+            from scipy.special import ndtri
+
             out = self.params["mean"] + self.params["sd"] * ndtri(u)
         elif self.kind == "exponential":
             out = -np.log1p(-np.minimum(u, 1.0 - 1e-17)) / self.params["rate"]
@@ -118,6 +125,8 @@ class ReferenceDistribution:
         if self.kind == "uniform":
             out = np.full_like(u, self.params["b"] - self.params["a"])
         elif self.kind == "normal":
+            from scipy.special import ndtri
+
             out = self.params["sd"] / _phi(ndtri(u))
         else:
             out = 1.0 / (self.params["rate"] * (1.0 - u))
@@ -154,6 +163,8 @@ class ReferenceDistribution:
             a, b = self.params["a"], self.params["b"]
             out = a * t + 0.5 * (b - a) * t * t
         elif self.kind == "normal":
+            from scipy.special import ndtri
+
             mean, sd = self.params["mean"], self.params["sd"]
             with np.errstate(divide="ignore"):
                 z = ndtri(np.clip(t, 0.0, 1.0))
@@ -179,6 +190,8 @@ class ReferenceDistribution:
             inside = np.square(np.clip(x, a, b) - a) / (2.0 * (b - a))
             out = inside + np.maximum(x - b, 0.0)
         elif self.kind == "normal":
+            from scipy.special import ndtr
+
             mean, sd = self.params["mean"], self.params["sd"]
             z = (x - mean) / sd
             out = sd * (z * ndtr(z) + _phi(z))
@@ -198,6 +211,8 @@ class ReferenceDistribution:
             inside = np.square(b - np.clip(x, a, b)) / (2.0 * (b - a))
             out = inside + np.maximum(a - x, 0.0)
         elif self.kind == "normal":
+            from scipy.special import ndtr
+
             mean, sd = self.params["mean"], self.params["sd"]
             z = (x - mean) / sd
             out = sd * (_phi(z) - z * (1.0 - ndtr(z)))
@@ -232,8 +247,8 @@ def population_spectral_risk(dist: ReferenceDistribution, phi: Spectrum) -> floa
         alpha = phi.params["alpha"]
         return -float(dist.quantile_primitive(alpha)) / alpha
 
-    def f(u: float) -> float:
-        return float(dist.quantile(u)) * float(phi.density(u))
+    def f(u: np.ndarray) -> np.ndarray:
+        return dist.quantile(u) * phi.density(u)
 
     body = integrate_piecewise(
         f, delta, 1.0 - delta, breakpoints=phi.breakpoints, tol=1e-10

@@ -11,9 +11,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import WeightVector
+from .core import WeightVector, ceil_level
 from .errors import DomainError, NotMonotone, NotNormalised
-from .quadrature import adaptive_simpson
+from .quadrature import DEFAULT_MAX_EVALS, _panels
 
 #: grid resolution used to validate (S1)-(S3) at construction
 VALIDATION_GRID = 10_000
@@ -97,23 +97,18 @@ class Spectrum:
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def _primitive_by_quadrature(self, arr: np.ndarray) -> np.ndarray:
-        # evaluation floor keeps the open-domain density defined; the
-        # truncation error is below C * 1e-12, under the 1e-10 tolerance
-        def f(u: float) -> float:
-            return float(self._density(np.asarray(max(u, 1e-12))))
-
-        def one(t: float) -> float:
-            if t == 0.0:
-                return 0.0
-            cuts = [0.0, *(b for b in self.breakpoints if 0 < b < t), t]
-            return sum(
-                adaptive_simpson(f, lo, hi, tol=1e-10 / max(1, len(cuts) - 1))
-                for lo, hi in zip(cuts[:-1], cuts[1:])
-            )
-
-        return np.array([one(float(t)) for t in np.atleast_1d(arr)]).reshape(
-            arr.shape
+        # one adaptive partition of [0, max t], cut at every requested t
+        # and every breakpoint; Phi(t) is the running sum up to t's cut.
+        # Each cut needs a panel of its own, so the budget grows with them.
+        ts = np.unique(arr[arr > 0.0])
+        if ts.size == 0:
+            return np.zeros(arr.shape)
+        _, hi, pieces = _panels(
+            self._density, 0.0, float(ts[-1]), [*ts, *self.breakpoints],
+            1e-10, DEFAULT_MAX_EVALS + 30 * ts.size,
         )
+        cum = np.concatenate([[0.0], np.cumsum(pieces)])
+        return cum[np.searchsorted(hi, arr, side="right")]
 
 
 def expected_shortfall_spectrum(alpha: float) -> Spectrum:
@@ -244,7 +239,7 @@ class StepSpectrum:
         arr = np.asarray(u, dtype=np.float64)
         if np.any(arr <= 0.0) or np.any(arr > 1.0):
             raise DomainError(f"step spectrum evaluated outside (0, 1]: {u}")
-        idx = np.clip(np.ceil(arr * self.n).astype(int) - 1, 0, self.n - 1)
+        idx = np.clip(ceil_level(self.n, arr) - 1, 0, self.n - 1)
         out = self.levels[idx]
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
@@ -253,7 +248,10 @@ class StepSpectrum:
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise DomainError(f"step primitive evaluated outside [0, 1]: {t}")
         cum = np.concatenate([[0.0], np.cumsum(self.levels)]) / self.n
-        k = np.clip(np.floor(arr * self.n).astype(int), 0, self.n - 1)
+        # k whole steps lie below t; at t = k/n that is k, not k - 1, so
+        # Phi(k/n) is exactly cum[k]
+        j = ceil_level(self.n, arr)
+        k = np.clip(np.where(j / self.n <= arr, j, j - 1), 0, self.n - 1)
         out = cum[k] + (arr - k / self.n) * self.levels[k]
         out = np.where(arr >= 1.0, cum[-1], out)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
@@ -262,22 +260,13 @@ class StepSpectrum:
 def canonical_weights(phi: Spectrum, n: int) -> WeightVector:
     """Canonical discretisation a_i = Phi(i/n) - Phi((i-1)/n).
 
-    Exact primitives are differenced directly; only custom spectra fall
-    back to per-interval quadrature.
+    Custom spectra difference their quadrature primitive, which
+    integrates once over all the grid's intervals.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     grid = np.arange(n + 1, dtype=np.float64) / n
-    if phi._primitive is not None:
-        cum = phi.primitive(grid)
-        w = np.diff(cum)
-    else:
-        def f(u: float) -> float:
-            return float(phi._density(np.asarray(max(u, 1e-12))))
-
-        w = np.empty(n)
-        for i in range(n):
-            w[i] = adaptive_simpson(f, grid[i], grid[i + 1], tol=1e-12)
+    w = np.diff(phi.primitive(grid))
     return WeightVector(np.clip(w, 0.0, None), monotone=True)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from riskcore import ReferenceDistribution
 
@@ -17,6 +18,13 @@ def draw_monotone_simplex(gen: np.random.Generator, n: int) -> np.ndarray:
 def draw_simplex(gen: np.random.Generator, n: int) -> np.ndarray:
     raw = gen.exponential(size=n)
     return raw / raw.sum()
+
+
+def rational_level(max_n: int = 400):
+    """(n, k) with 1 <= k <= n: the level k/n of the k-th order statistic."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n))
+    )
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from riskcore.cli import main, read_sample, write_sample
+from riskcore.cli import fmt, main, read_sample, write_sample
+from riskcore.errors import RiskError
 
 ORACLES = pathlib.Path(__file__).parent / "oracles"
 DES_ORACLE = f"{sys.executable} {ORACLES / 'des_oracle.py'}"
@@ -312,3 +313,47 @@ class TestConsoleEntry:
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
         assert out.stderr.count("\n") == 1
+
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy.special is most of the cold start; only normal laws need it
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, riskcore.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0
+        assert out.stdout.strip() == "False"
+
+
+class TestBadInputs:
+    def test_axioms_n_zero_exits_instead_of_hanging(self):
+        # an empty request line gets no reply, so n = 0 must never reach
+        # the oracle
+        out = subprocess.run(
+            [sys.executable, "-m", "riskcore.cli", "axioms", "--oracle",
+             DES_ORACLE, "--n", "0", "--trials", "10", "--seed", "1"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "n must be >= 1" in out.stderr
+        assert out.stderr.count("\n") == 1
+
+    def test_overflowing_es_is_an_error(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1e308\n1e308\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "riskcore.cli", "es", "--sample",
+             str(path), "--k", "2"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "not finite" in out.stderr
+        assert "Warning" not in out.stderr
+        assert out.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_fmt_rejects_non_finite(self, value):
+        with pytest.raises(RiskError):
+            fmt(value)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskcore import (
@@ -22,7 +22,7 @@ from riskcore.errors import (
     NotMonotone,
     NotNormalised,
 )
-from conftest import draw_monotone_simplex, draw_simplex
+from conftest import draw_monotone_simplex, draw_simplex, rational_level
 
 
 class TestSample:
@@ -78,6 +78,15 @@ class TestEmpiricalQuantile:
         s = sort_sample(Sample([1.0, 2.0]))
         with pytest.raises(AlphaOutOfRange):
             empirical_quantile(s, alpha)
+
+    @given(rational_level())
+    @example((100, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_level_k_over_n_selects_kth(self, nk):
+        # n * (k/n) can round an ulp above k; the k-th statistic is still meant
+        n, k = nk
+        s = sort_sample(Sample(np.arange(1.0, n + 1.0)))
+        assert empirical_quantile(s, k / n) == float(k)
 
     def test_nondecreasing_in_alpha(self):
         gen = np.random.default_rng(1)

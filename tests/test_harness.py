@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from riskcore import (
     LipschitzClass,
@@ -40,7 +41,7 @@ from riskcore.harness import (
     kusuoka_tightness_gap,
     sample_from,
 )
-from conftest import draw_monotone_simplex, draw_simplex
+from conftest import draw_monotone_simplex, draw_simplex, rational_level
 
 
 class TestLipschitzClass:
@@ -270,6 +271,17 @@ class TestKusuokaSurrogates:
             # value stabilises
             gap_fine, bound_fine = kusuoka_grid_gap(x, levels, masses, 4 * 500)
             assert bound_fine == 0.0 and gap_fine == 0.0
+
+    @given(rational_level(200))
+    @example((100, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_levels_stay_on_their_grid(self, mk):
+        # an atom at k/m sits on both the 1/m and the 1/(2m) grid, so
+        # refining the grid cannot move it
+        m, k = mk
+        x = Sample(np.arange(500.0))
+        gap, bound = kusuoka_grid_gap(x, [k / m], [1.0], m)
+        assert gap == 0.0 and bound == 0.0
 
     def test_grid_gap_validates_levels(self):
         x = Sample([1.0, 2.0])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from riskcore import (
     Spectrum,
@@ -23,6 +24,7 @@ from riskcore.errors import (
 )
 from riskcore.quadrature import adaptive_simpson
 from riskcore.spectra import StepSpectrum, spectrum_to_json
+from conftest import rational_level
 
 
 class TestDensity:
@@ -125,6 +127,16 @@ class TestStepSpectrum:
     def test_levels_must_be_monotone(self):
         with pytest.raises(NotMonotone):
             StepSpectrum([0.5, 1.5])
+
+    @given(rational_level())
+    @example((100, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_level_k_over_n_is_in_step_k(self, nk):
+        n, k = nk
+        levels = 2.0 * np.arange(n, 0, -1) / (n + 1)
+        step = StepSpectrum(levels)
+        assert step.density(k / n) == levels[k - 1]
+        assert step.primitive(k / n) == (np.cumsum(levels) / n)[k - 1]
 
     def test_density_matches_levels(self):
         step = StepSpectrum([1.5, 0.5])
