@@ -5,9 +5,8 @@ diagnostics the limit theorems are checked against."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, TypeVar
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -27,14 +26,12 @@ VARIANCE_DELTA = 1e-6
 #: truncation of influence-function quadrature at the open endpoints
 INFLUENCE_EDGE = 1e-9
 
-T = TypeVar("T")
-
 
 @dataclass(frozen=True)
 class RngSpec:
     """Counter-based RNG identity: (seed, stream_id) fully determines the
-    draw sequence on every platform, so indexed work items can run in any
-    order or degree of parallelism without changing results."""
+    draw sequence on every platform, so a replicate that owns its stream
+    draws the same values wherever it sits in a run."""
 
     seed: int
     stream_id: int = 0
@@ -51,15 +48,13 @@ class RngSpec:
 
 
 def indexed_map(
-    fn: Callable[[int], T], count: int, threads: int = 1
-) -> List[T]:
-    """Run fn(0..count-1), collecting results by index. Each work item
-    must derive its own RNG stream from its index; then the thread count
-    cannot affect the output."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+    fn: Callable[[int], np.ndarray], count: int, weights: np.ndarray
+) -> np.ndarray:
+    """The replicate kernel: fn(i) draws replicate i's sample from its own
+    stream; the plug-in weights act on the sorted negated sample. Row i
+    of the result is replicate i's estimate (a scalar for 1-D weights, one
+    per weight row for an (m, n) array)."""
+    return np.array([weights @ -np.sort(fn(i)) for i in range(count)])
 
 
 def _spectrum_at_cdf(
@@ -212,13 +207,13 @@ def bootstrap_resample(x: Sample, rng: RngSpec) -> Sample:
 
 
 def bootstrap_distribution(
-    x: Sample, phi: Spectrum, B: int, rng: RngSpec, threads: int = 1
+    x: Sample, phi: Spectrum, B: int, rng: RngSpec
 ) -> np.ndarray:
     """B values of sqrt(n) * (rho_hat(X*) - rho_hat(X)).
 
-    Replicate b draws its indices from stream_id = b of the given seed,
-    so the result is independent of execution order and thread count;
-    the data-drawing caller conventionally keeps stream 0 for itself.
+    Replicate b draws its indices from stream_id = b + 1 of the given
+    seed; the data-drawing caller conventionally keeps stream 0 for
+    itself.
     """
     if B < 1:
         raise DomainError(f"B must be >= 1, got {B}")
@@ -227,13 +222,11 @@ def bootstrap_distribution(
     base = float(np.dot(weights, -np.sort(values)))
     root_n = math.sqrt(x.n)
 
-    def one(i: int) -> float:
+    def draw(i: int) -> np.ndarray:
         gen = RngSpec(rng.seed, i + 1).generator()
-        idx = gen.integers(0, values.size, size=values.size)
-        est = float(np.dot(weights, -np.sort(values[idx])))
-        return root_n * (est - base)
+        return values[gen.integers(0, values.size, size=values.size)]
 
-    return np.asarray(indexed_map(one, B, threads=threads))
+    return root_n * (indexed_map(draw, B, weights) - base)
 
 
 def kolmogorov_distance(sample: Sample, dist: ReferenceDistribution) -> float:

@@ -9,11 +9,15 @@ decimal per line for samples), writes machine-readable output, and exits
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
+import select
 import shlex
 import subprocess
 import sys
+import time
 from typing import IO, List, Optional, Sequence
 
 import numpy as np
@@ -40,6 +44,9 @@ from .harness import (
 )
 from .population import distribution_from_json
 from .spectra import canonical_weights, spectrum_from_json
+
+#: seconds an oracle process may take to accept one request and reply
+ORACLE_TIMEOUT_S = 60.0
 
 
 def fmt(value: float) -> str:
@@ -152,7 +159,9 @@ def _class_from_config(config: dict) -> LipschitzClass:
 
 class SubprocessOracle:
     """Line-protocol adapter around an external estimator process: one
-    whitespace-separated sample per request line, one decimal per reply."""
+    whitespace-separated sample per request line, one decimal per reply.
+    A process that takes longer than ORACLE_TIMEOUT_S over one request is
+    killed and reported as an OracleFailure."""
 
     def __init__(self, command: str):
         argv = shlex.split(command)
@@ -163,40 +172,65 @@ class SubprocessOracle:
                 argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
             )
         except OSError as exc:
             raise RiskError(f"cannot start oracle {command!r}: {exc}") from exc
+        assert self.proc.stdin is not None and self.proc.stdout is not None
+        # raw descriptors: a request larger than the pipe goes out in
+        # pieces, and every wait on the process has the same deadline
+        self._to = self.proc.stdin.fileno()
+        self._from = self.proc.stdout.fileno()
+        os.set_blocking(self._to, False)
+        self._pending = b""
 
     def __call__(self, values: np.ndarray) -> float:
-        assert self.proc.stdin is not None and self.proc.stdout is not None
         line = " ".join(fmt(v) for v in np.asarray(values, dtype=np.float64))
+        request = (line + "\n").encode()
+        deadline = time.monotonic() + ORACLE_TIMEOUT_S
         try:
-            self.proc.stdin.write(line + "\n")
-            self.proc.stdin.flush()
-            reply = self.proc.stdout.readline()
-        except (OSError, BrokenPipeError) as exc:
+            while request:
+                self._wait([], [self._to], deadline)
+                request = request[os.write(self._to, request):]
+            while b"\n" not in self._pending:
+                self._wait([self._from], [], deadline)
+                chunk = os.read(self._from, 1 << 16)
+                if not chunk:
+                    break
+                self._pending += chunk
+        except OSError as exc:
             raise OracleFailure(f"oracle process failed: {exc}") from exc
-        if not reply:
+        reply, newline, self._pending = self._pending.partition(b"\n")
+        if not (reply or newline):
             raise OracleFailure("oracle process closed its output stream")
+        text = reply.decode("utf-8", "replace").strip()
         try:
-            return float(reply.strip())
+            return float(text)
         except ValueError:
             raise OracleFailure(
-                f"oracle replied with a non-number: {reply.strip()!r}"
+                f"oracle replied with a non-number: {text!r}"
             ) from None
 
+    def _wait(self, readers: list, writers: list, deadline: float) -> None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not any(
+            select.select(readers, writers, [], remaining)
+        ):
+            self.proc.kill()
+            raise OracleFailure(
+                f"oracle did not answer within {ORACLE_TIMEOUT_S:g} s"
+            )
+
     def close(self) -> None:
-        if self.proc.stdin is not None:
-            try:
-                self.proc.stdin.close()
-            except OSError:
-                pass
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
         try:
             self.proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
             self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
 
     def __enter__(self) -> "SubprocessOracle":
         return self
@@ -309,7 +343,6 @@ def cmd_clt(args: argparse.Namespace) -> int:
         reps=int(_require(config, "reps")),
         rng=rng,
         threshold=float(config.get("threshold", 0.05)),
-        threads=args.threads,
     )
     return _report_exit(report, args)
 
@@ -325,7 +358,6 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
         rng=rng,
         threshold=float(config.get("threshold", 0.08)),
         grid_m=int(config.get("grid_m", 100)),
-        threads=args.threads,
     )
     return _report_exit(report, args)
 
@@ -342,7 +374,6 @@ def cmd_consistency(args: argparse.Namespace) -> int:
         rng=rng,
         threshold=None if threshold is None else float(threshold),
         min_pass_fraction=float(config.get("min_pass_fraction", 1.0)),
-        threads=args.threads,
     )
     return _report_exit(report, args)
 
@@ -358,7 +389,6 @@ def cmd_rate(args: argparse.Namespace) -> int:
         reps=int(_require(config, "reps")),
         rng=rng,
         slope_band=None if band is None else (float(band[0]), float(band[1])),
-        threads=args.threads,
     )
     return _report_exit(report, args)
 
@@ -382,7 +412,9 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="riskcore",
         description="Coherent risk estimation toolkit: estimators, "
@@ -439,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON object or file path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; never affects results")
+                       help="accepted for compatibility; ignored")
         p.add_argument("--timing", action="store_true",
                        help="include wall time in the report")
         p.set_defaults(fn=fn)

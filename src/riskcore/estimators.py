@@ -103,11 +103,11 @@ def recover_comonotonic_weights(oracle: Oracle, n: int) -> WeightVector:
         raise KOutOfRange(f"n must be >= 1, got {n}")
     probe = np.zeros(n)
     prefix = np.empty(n + 1)
-    prefix[0] = _call(oracle, probe)
+    prefix[0] = oracle_value(oracle, probe)
     for k in range(1, n + 1):
         probe = np.zeros(n)
         probe[:k] = -1.0
-        prefix[k] = _call(oracle, probe)
+        prefix[k] = oracle_value(oracle, probe)
     a = np.diff(prefix)
 
     rises = np.diff(a)
@@ -125,10 +125,14 @@ def recover_comonotonic_weights(oracle: Oracle, n: int) -> WeightVector:
     return WeightVector(a / a.sum(), monotone=True)
 
 
-def _call(oracle: Oracle, x: np.ndarray) -> float:
+def oracle_value(oracle: Oracle, x: np.ndarray) -> float:
+    """oracle(x) as a float; a non-finite value is an OracleFailure. The
+    diagnostic names the sample size, not the sample, to stay one line."""
     value = float(oracle(x))
     if not math.isfinite(value):
-        raise OracleFailure(f"oracle returned {value} on probe {x.tolist()}")
+        raise OracleFailure(
+            f"oracle returned {value} on a sample of {np.size(x)} values"
+        )
     return value
 
 

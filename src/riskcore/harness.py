@@ -1,13 +1,13 @@
 """Experiment drivers: randomized coherence-axiom verification and the
 consistency / rate / CLT / bootstrap diagnostics, all reproducible from
-(config, seed) and independent of the worker count."""
+(config, seed)."""
 
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +25,13 @@ from .errors import (
     DegenerateVariance,
     DomainError,
     NotLipschitz,
-    OracleFailure,
 )
-from .estimators import discrete_es_profile, kusuoka_plugin
+from .estimators import (
+    Oracle,
+    discrete_es_profile,
+    kusuoka_plugin,
+    oracle_value,
+)
 from .population import (
     ReferenceDistribution,
     distribution_to_json,
@@ -46,8 +50,6 @@ SCHEMA = "riskcore/1"
 
 #: axiom-check tolerance is AXIOM_TOL * (1 + input scale)
 AXIOM_TOL = 1e-9
-
-Oracle = Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,7 @@ class ExperimentReport:
     """Config echo plus results for one experiment run.
 
     Serialisation is deterministic and excludes wall time by default so
-    that identical (config, seed) runs produce byte-identical JSON no
-    matter how many workers executed them.
+    that identical (config, seed) runs produce byte-identical JSON.
     """
 
     experiment: str
@@ -203,13 +204,6 @@ class AxiomReport:
         return out
 
 
-def _oracle_value(oracle: Oracle, x: np.ndarray) -> float:
-    v = float(oracle(np.asarray(x, dtype=np.float64)))
-    if not np.isfinite(v):
-        raise OracleFailure(f"oracle returned {v}")
-    return v
-
-
 def check_axioms(
     oracle: Oracle,
     n: int,
@@ -238,7 +232,7 @@ def check_axioms(
         for t in range(trials):
             x = gen.standard_normal(n)
             y = x + np.abs(gen.standard_normal(n))
-            lhs, rhs = _oracle_value(oracle, x), _oracle_value(oracle, y)
+            lhs, rhs = oracle_value(oracle, x), oracle_value(oracle, y)
             if lhs < rhs - tol(max(np.abs(x).max(), np.abs(y).max())):
                 return {"trial": t, "x": x.tolist(), "y": y.tolist(),
                         "lhs": lhs, "rhs": rhs}
@@ -248,8 +242,8 @@ def check_axioms(
         for t in range(trials):
             x = gen.standard_normal(n)
             m = float(gen.standard_normal())
-            lhs = _oracle_value(oracle, x + m)
-            rhs = _oracle_value(oracle, x) - m
+            lhs = oracle_value(oracle, x + m)
+            rhs = oracle_value(oracle, x) - m
             if abs(lhs - rhs) > tol(np.abs(x).max() + abs(m)):
                 return {"trial": t, "x": x.tolist(), "m": m,
                         "lhs": lhs, "rhs": rhs}
@@ -260,8 +254,8 @@ def check_axioms(
         for t in range(trials):
             x = gen.standard_normal(n)
             lam = 0.0 if t == 0 else float(np.abs(gen.standard_normal()))
-            lhs = _oracle_value(oracle, lam * x)
-            rhs = lam * _oracle_value(oracle, x)
+            lhs = oracle_value(oracle, lam * x)
+            rhs = lam * oracle_value(oracle, x)
             if abs(lhs - rhs) > tol((1.0 + lam) * np.abs(x).max()):
                 return {"trial": t, "x": x.tolist(), "lambda": lam,
                         "lhs": lhs, "rhs": rhs}
@@ -271,8 +265,8 @@ def check_axioms(
         for t in range(trials):
             x = gen.standard_normal(n)
             y = gen.standard_normal(n)
-            lhs = _oracle_value(oracle, x + y)
-            rhs = _oracle_value(oracle, x) + _oracle_value(oracle, y)
+            lhs = oracle_value(oracle, x + y)
+            rhs = oracle_value(oracle, x) + oracle_value(oracle, y)
             if lhs > rhs + tol(np.abs(x).max() + np.abs(y).max()):
                 return {"trial": t, "x": x.tolist(), "y": y.tolist(),
                         "lhs": lhs, "rhs": rhs}
@@ -282,8 +276,8 @@ def check_axioms(
         for t in range(trials):
             x = gen.standard_normal(n)
             perm = gen.permutation(n)
-            lhs = _oracle_value(oracle, x[perm])
-            rhs = _oracle_value(oracle, x)
+            lhs = oracle_value(oracle, x[perm])
+            rhs = oracle_value(oracle, x)
             if abs(lhs - rhs) > tol(np.abs(x).max()):
                 return {"trial": t, "x": x.tolist(), "perm": perm.tolist(),
                         "lhs": lhs, "rhs": rhs}
@@ -292,8 +286,8 @@ def check_axioms(
     def comonotonic_additivity(gen: np.random.Generator) -> Optional[dict]:
         for t in range(trials):
             x, y = comonotonic_pair(gen, n)
-            lhs = _oracle_value(oracle, x + y)
-            rhs = _oracle_value(oracle, x) + _oracle_value(oracle, y)
+            lhs = oracle_value(oracle, x + y)
+            rhs = oracle_value(oracle, x) + oracle_value(oracle, y)
             if abs(lhs - rhs) > tol(np.abs(x).max() + np.abs(y).max()):
                 return {"trial": t, "x": x.tolist(), "y": y.tolist(),
                         "lhs": lhs, "rhs": rhs}
@@ -332,9 +326,10 @@ def _class_errors(
     n_grid: Sequence[int],
     reps: int,
     rng: RngSpec,
-    threads: int,
 ) -> List[np.ndarray]:
     """Per n: the vector over reps of the worst error across the class."""
+    if reps < 1:
+        raise DomainError(f"reps must be >= 1, got {reps}")
     targets = np.array(
         [population_spectral_risk(dist, phi) for phi in cls.members]
     )
@@ -344,13 +339,12 @@ def _class_errors(
             [canonical_weights(phi, n).weights for phi in cls.members]
         )
 
-        def one(rep: int) -> float:
+        def draw(rep: int) -> np.ndarray:
             gen = RngSpec(rng.seed, ((i_n + 1) << 32) | rep).generator()
-            xs = np.sort(sample_from(dist, gen, n))
-            estimates = weights @ (-xs)
-            return float(np.max(np.abs(estimates - targets)))
+            return sample_from(dist, gen, n)
 
-        per_n.append(np.asarray(indexed_map(one, reps, threads=threads)))
+        estimates = indexed_map(draw, reps, weights)
+        per_n.append(np.max(np.abs(estimates - targets), axis=1))
     return per_n
 
 
@@ -362,7 +356,6 @@ def consistency_sweep(
     rng: RngSpec,
     threshold: Optional[float] = None,
     min_pass_fraction: float = 1.0,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Worst-over-class estimation error against population values, per n.
 
@@ -372,7 +365,7 @@ def consistency_sweep(
     if list(n_grid) != sorted(n_grid) or len(n_grid) < 1:
         raise DomainError("n_grid must be a non-empty increasing sequence")
     started = time.perf_counter()
-    per_n = _class_errors(cls, dist, n_grid, reps, rng, threads)
+    per_n = _class_errors(cls, dist, n_grid, reps, rng)
     rows = [
         {
             "n": int(n),
@@ -407,7 +400,6 @@ def rate_experiment(
     reps: int,
     rng: RngSpec,
     slope_band: Optional[Tuple[float, float]] = None,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Least-squares slope of log median error against log n.
 
@@ -417,7 +409,7 @@ def rate_experiment(
     if len(n_grid) < 2:
         raise DomainError("rate fit needs at least two sample sizes")
     started = time.perf_counter()
-    per_n = _class_errors(cls, dist, n_grid, reps, rng, threads)
+    per_n = _class_errors(cls, dist, n_grid, reps, rng)
     medians = np.array([float(np.median(errs)) for errs in per_n])
     scale = max(
         abs(population_spectral_risk(dist, phi)) for phi in cls.members
@@ -475,7 +467,6 @@ def clt_check(
     reps: int,
     rng: RngSpec,
     threshold: float = 0.05,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Kolmogorov distance of sqrt(n)-scaled estimation errors to the
     normal limit with the plug-in asymptotic variance."""
@@ -487,12 +478,10 @@ def clt_check(
     weights = canonical_weights(phi, n).weights
     root_n = np.sqrt(n)
 
-    def one(rep: int) -> float:
-        gen = RngSpec(rng.seed, rep + 1).generator()
-        xs = np.sort(sample_from(dist, gen, n))
-        return float(root_n * (np.dot(weights, -xs) - target))
+    def draw(rep: int) -> np.ndarray:
+        return sample_from(dist, RngSpec(rng.seed, rep + 1).generator(), n)
 
-    draws = np.asarray(indexed_map(one, reps, threads=threads))
+    draws = root_n * (indexed_map(draw, reps, weights) - target)
     limit = ReferenceDistribution("normal", mean=0.0, sd=float(np.sqrt(sigma2)))
     d_k = kolmogorov_distance(Sample(draws), limit)
     config = {
@@ -518,7 +507,6 @@ def bootstrap_check(
     rng: RngSpec,
     threshold: float = 0.08,
     grid_m: int = 100,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Bootstrap validity: one sample of size n, B resampled replicates,
     Kolmogorov and truncated-grid distances to the normal limit."""
@@ -526,7 +514,7 @@ def bootstrap_check(
     sigma2 = _gate_clt_inputs(phi, dist)
     gen = RngSpec(rng.seed, 0).generator()
     sample = Sample(sample_from(dist, gen, n))
-    reps = bootstrap_distribution(sample, phi, B, rng, threads=threads)
+    reps = bootstrap_distribution(sample, phi, B, rng)
     degenerate = bool(np.ptp(sample.values) == 0.0 or np.ptp(reps) == 0.0)
     limit = ReferenceDistribution("normal", mean=0.0, sd=float(np.sqrt(sigma2)))
     rep_sample = Sample(reps)

@@ -367,19 +367,19 @@ def test_criterion_13_determinism(consistency_report, rate_report,
     started = time.perf_counter()
     rerun_consistency = consistency_sweep(
         bundled_lipschitz_class(), UNIFORM01, [100_000], 20, RngSpec(1),
-        threshold=0.01, min_pass_fraction=0.95, threads=2,
+        threshold=0.01, min_pass_fraction=0.95,
     )
     rerun_rate = rate_experiment(
         LipschitzClass([uniform_spectrum()]), NORMAL01, RATE_GRID, 50,
-        RngSpec(1), slope_band=(-0.65, -0.35), threads=2,
+        RngSpec(1), slope_band=(-0.65, -0.35),
     )
     rerun_clt_u = clt_check(uniform_spectrum(), UNIFORM01, 2000, 2000,
-                            RngSpec(1), threshold=0.05, threads=2)
+                            RngSpec(1), threshold=0.05)
     rerun_clt_n = clt_check(uniform_spectrum(), NORMAL01, 2000, 2000,
-                            RngSpec(1), threshold=0.05, threads=2)
+                            RngSpec(1), threshold=0.05)
     rerun_bootstrap = bootstrap_check(linear_spectrum(2.0), NORMAL01, 2000,
                                       2000, RngSpec(1), threshold=0.08,
-                                      grid_m=100, threads=2)
+                                      grid_m=100)
     matches = [
         rerun_consistency.to_json() == consistency_report.to_json(),
         rerun_rate.to_json() == rate_report.to_json(),
@@ -389,7 +389,7 @@ def test_criterion_13_determinism(consistency_report, rate_report,
     ]
     report(
         13, all(matches),
-        f"criteria 8-11 reports byte-identical on rerun with threads=2 "
+        f"criteria 8-11 reports byte-identical on rerun "
         f"({sum(matches)}/5 matched)",
         time.perf_counter() - started, 600.0,
     )

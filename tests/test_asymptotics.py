@@ -12,6 +12,7 @@ from riskcore import (
     asymptotic_variance,
     bootstrap_distribution,
     bootstrap_resample,
+    canonical_weights,
     expected_shortfall_spectrum,
     exponential_spectrum,
     influence_function,
@@ -78,13 +79,17 @@ class TestBootstrapDistribution:
         assert np.all(np.abs(out) <= bound)
         assert np.isfinite(out.mean())
 
-    def test_threads_do_not_change_results(self):
+    def test_replicate_b_resamples_from_stream_b_plus_one(self):
         gen = np.random.default_rng(4)
-        x = Sample(gen.standard_normal(40))
-        phi = uniform_spectrum()
-        serial = bootstrap_distribution(x, phi, 32, RngSpec(9), threads=1)
-        parallel = bootstrap_distribution(x, phi, 32, RngSpec(9), threads=4)
-        assert np.array_equal(serial, parallel)
+        n = 40
+        x = Sample(gen.standard_normal(n))
+        phi = linear_spectrum(2.0)
+        out = bootstrap_distribution(x, phi, 32, RngSpec(9))
+        w = canonical_weights(phi, n).weights
+        base = w @ -np.sort(x.values)
+        for b in range(32):
+            idx = RngSpec(9, b + 1).generator().integers(0, n, n)
+            assert out[b] == np.sqrt(n) * (w @ -np.sort(x.values[idx]) - base)
 
 
 class TestKolmogorov:

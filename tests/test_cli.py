@@ -1,20 +1,31 @@
 """Command-line surface: parsing, output formats, exit codes, replay."""
 
+import argparse
 import io
 import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from riskcore.cli import fmt, main, read_sample, write_sample
-from riskcore.errors import RiskError
+from riskcore import cli
+from riskcore.cli import (
+    SubprocessOracle,
+    build_parser,
+    fmt,
+    main,
+    read_sample,
+    write_sample,
+)
+from riskcore.errors import OracleFailure, RiskError
 
 ORACLES = pathlib.Path(__file__).parent / "oracles"
 DES_ORACLE = f"{sys.executable} {ORACLES / 'des_oracle.py'}"
 STD_ORACLE = f"{sys.executable} {ORACLES / 'std_oracle.py'}"
+SILENT_ORACLE = f"{sys.executable} {ORACLES / 'silent_oracle.py'}"
 
 
 @pytest.fixture
@@ -164,6 +175,30 @@ class TestOracleCommands:
         )
         assert code == 2 and "--seed" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--n", "3"],
+        ["axioms", "--n", "3", "--trials", "5", "--seed", "1"],
+    ])
+    def test_silent_oracle_times_out(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "ORACLE_TIMEOUT_S", 0.5)
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, argv[0], "--oracle", SILENT_ORACLE, *argv[1:]
+        )
+        assert time.monotonic() - started < 10.0
+        assert code == 2 and out == ""
+        assert "did not answer within 0.5 s" in err
+        assert err.count("\n") == 1
+
+    def test_request_larger_than_the_pipe_times_out(self, monkeypatch):
+        # the oracle never reads, so the request cannot be written out
+        monkeypatch.setattr(cli, "ORACLE_TIMEOUT_S", 0.5)
+        sleeper = f"{sys.executable} -c 'import time; time.sleep(60)'"
+        with SubprocessOracle(sleeper) as oracle:
+            with pytest.raises(OracleFailure, match="did not answer"):
+                oracle(np.zeros(100_000))
+            assert oracle.proc.wait(timeout=5) is not None
+
 
 class TestExperiments:
     CLT_CONFIG = json.dumps({
@@ -185,6 +220,31 @@ class TestExperiments:
         assert out1 == out2
         doc = json.loads(out1)
         assert doc["schema"] == "riskcore/1" and doc["passed"]
+
+    @pytest.mark.parametrize("command, config", [
+        ("clt", CLT_CONFIG),
+        ("bootstrap", json.dumps({
+            "spectrum": {"type": "linear", "slope": 2.0},
+            "dist": {"type": "normal", "mean": 0, "sd": 1},
+            "n": 200, "B": 120,
+        })),
+        ("consistency", json.dumps({
+            "class": "bundled", "dist": {"type": "exponential", "rate": 1},
+            "n_grid": [50, 400], "reps": 5, "threshold": 0.5,
+        })),
+        ("rate", json.dumps({
+            "class": [{"type": "uniform"}],
+            "dist": {"type": "uniform", "a": 0, "b": 1},
+            "n_grid": [100, 1000], "reps": 5,
+        })),
+    ])
+    def test_threads_flag_is_accepted_and_ignored(self, capsys, command,
+                                                  config):
+        plain = run_cli(capsys, command, "--config", config, "--seed", "4")
+        threaded = run_cli(capsys, command, "--config", config, "--seed", "4",
+                           "--threads", "2")
+        assert plain[0] in (0, 1)
+        assert threaded == plain
 
     def test_config_from_file(self, capsys, tmp_path):
         path = tmp_path / "clt.json"
@@ -323,6 +383,25 @@ class TestConsoleEntry:
         )
         assert out.returncode == 0
         assert out.stdout.strip() == "False"
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch,
+                                             three_file):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        assert run_cli(capsys, "es", "--sample", three_file, "--k", "2")[0] == 0
+        first = len(built)
+        assert run_cli(capsys, "es", "--sample", three_file, "--k", "1")[0] == 0
+        assert first > 0 and len(built) == first
+        build_parser.cache_clear()
 
 
 class TestBadInputs:

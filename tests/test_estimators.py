@@ -273,6 +273,12 @@ class TestRecovery:
         with pytest.raises(OracleFailure):
             recover_comonotonic_weights(lambda v: float("nan"), 2)
 
+    def test_non_finite_diagnostic_leaves_the_probe_out(self):
+        with pytest.raises(OracleFailure) as info:
+            recover_comonotonic_weights(lambda v: float("inf"), 2000)
+        message = str(info.value)
+        assert "2000 values" in message and len(message) < 100
+
     def test_nonzero_origin_degrades_gracefully(self):
         # rho(0) != 0 is subtracted out by the probe differences
         rec = recover_comonotonic_weights(

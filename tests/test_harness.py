@@ -138,14 +138,18 @@ class TestConsistencySweep:
         rows = report.results["per_n"]
         assert rows[1]["median_error"] < rows[0]["median_error"]
 
-    def test_byte_identical_reruns_and_threads(self, std_normal):
+    def test_byte_identical_reruns(self, std_normal):
         cls = bundled_lipschitz_class()
         kwargs = dict(n_grid=[50, 200], reps=6, threshold=0.5)
         a = consistency_sweep(cls, std_normal, rng=RngSpec(11), **kwargs)
         b = consistency_sweep(cls, std_normal, rng=RngSpec(11), **kwargs)
-        c = consistency_sweep(cls, std_normal, rng=RngSpec(11), threads=3,
-                              **kwargs)
-        assert a.to_json() == b.to_json() == c.to_json()
+        assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("experiment", [consistency_sweep, rate_experiment])
+    def test_no_reps_rejected(self, uniform01, experiment):
+        cls = LipschitzClass([uniform_spectrum()])
+        with pytest.raises(DomainError):
+            experiment(cls, uniform01, [100, 200], 0, RngSpec(0))
 
     def test_grid_validated(self, uniform01):
         cls = LipschitzClass([uniform_spectrum()])
@@ -192,10 +196,9 @@ class TestCltCheck:
         assert report.passed
         assert report.results["sigma2"] == pytest.approx(1 / 12, abs=1e-6)
 
-    def test_threads_do_not_change_report(self, uniform01):
+    def test_byte_identical_reruns(self, uniform01):
         a = clt_check(uniform_spectrum(), uniform01, 200, 100, RngSpec(3))
-        b = clt_check(uniform_spectrum(), uniform01, 200, 100, RngSpec(3),
-                      threads=4)
+        b = clt_check(uniform_spectrum(), uniform01, 200, 100, RngSpec(3))
         assert a.to_json() == b.to_json()
 
 
@@ -215,8 +218,7 @@ class TestBootstrapCheck:
 
     def test_deterministic(self, std_normal):
         a = bootstrap_check(uniform_spectrum(), std_normal, 100, 50, RngSpec(2))
-        b = bootstrap_check(uniform_spectrum(), std_normal, 100, 50, RngSpec(2),
-                            threads=2)
+        b = bootstrap_check(uniform_spectrum(), std_normal, 100, 50, RngSpec(2))
         assert a.to_json() == b.to_json()
 
 
