@@ -18,7 +18,7 @@ import shlex
 import subprocess
 import sys
 import time
-from typing import IO, List, Optional, Sequence
+from typing import IO, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +45,11 @@ from .harness import (
 from .population import distribution_from_json
 from .spectra import canonical_weights, spectrum_from_json
 
-#: seconds an oracle process may take to accept one request and reply
+#: seconds an oracle process may take over each reply
 ORACLE_TIMEOUT_S = 60.0
+
+#: request text an oracle batch holds unsent, beyond one request line
+REQUEST_BUFFER_BYTES = 1 << 16
 
 
 def fmt(value: float) -> str:
@@ -56,6 +59,17 @@ def fmt(value: float) -> str:
     if not math.isfinite(v):
         raise RiskError(f"result is not finite: {v}")
     return repr(v)
+
+
+def _request_line(row: np.ndarray) -> bytes:
+    """One oracle request line: the shortest round-trip decimal of every
+    value, as fmt writes them. A non-finite value is refused."""
+    row = np.asarray(row, dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise RiskError(
+            f"oracle request is not finite: a sample of {row.size} values"
+        )
+    return (" ".join(map(repr, row.tolist())) + "\n").encode()
 
 
 def read_sample(path: str) -> Sample:
@@ -160,8 +174,11 @@ def _class_from_config(config: dict) -> LipschitzClass:
 class SubprocessOracle:
     """Line-protocol adapter around an external estimator process: one
     whitespace-separated sample per request line, one decimal per reply.
-    A process that takes longer than ORACLE_TIMEOUT_S over one request is
-    killed and reported as an OracleFailure."""
+
+    The protocol is pipelined: replies must come one per line and in
+    request order, and the oracle may receive its next request before its
+    last reply is read. A process that takes longer than ORACLE_TIMEOUT_S
+    over any one reply is killed and reported as an OracleFailure."""
 
     def __init__(self, command: str):
         argv = shlex.split(command)
@@ -176,49 +193,94 @@ class SubprocessOracle:
         except OSError as exc:
             raise RiskError(f"cannot start oracle {command!r}: {exc}") from exc
         assert self.proc.stdin is not None and self.proc.stdout is not None
-        # raw descriptors: a request larger than the pipe goes out in
-        # pieces, and every wait on the process has the same deadline
+        # raw descriptors: requests go out in pieces while replies come in,
+        # and every wait on the process has a deadline
         self._to = self.proc.stdin.fileno()
         self._from = self.proc.stdout.fileno()
         os.set_blocking(self._to, False)
         self._pending = b""
 
     def __call__(self, values: np.ndarray) -> float:
-        line = " ".join(fmt(v) for v in np.asarray(values, dtype=np.float64))
-        request = (line + "\n").encode()
+        return float(self.batch([values])[0])
+
+    def batch(self, rows: Iterable[np.ndarray]) -> np.ndarray:
+        """The replies to every row, in order.
+
+        One select loop writes request lines while it reads replies, so
+        neither pipe can fill up and stall both processes. Rows are
+        formatted as they are needed, about REQUEST_BUFFER_BYTES ahead of
+        the pipe. A row holding a non-finite value is refused with a
+        RiskError; the rows before it are still answered, so the oracle's
+        replies stay in step with later requests."""
+        rows = iter(rows)
+        replies: List[float] = []
+        unsent = bytearray()
+        requested = 0
+        refused: Optional[RiskError] = None
         deadline = time.monotonic() + ORACLE_TIMEOUT_S
         try:
-            while request:
-                self._wait([], [self._to], deadline)
-                request = request[os.write(self._to, request):]
-            while b"\n" not in self._pending:
-                self._wait([self._from], [], deadline)
-                chunk = os.read(self._from, 1 << 16)
-                if not chunk:
+            while True:
+                while refused is None and len(unsent) < REQUEST_BUFFER_BYTES:
+                    row = next(rows, None)
+                    if row is None:
+                        break
+                    try:
+                        unsent += _request_line(row)
+                    except RiskError as exc:
+                        refused = exc
+                        break
+                    requested += 1
+                waiting = len(replies) < requested
+                if not (unsent or waiting):
                     break
-                self._pending += chunk
+                remaining = deadline - time.monotonic()
+                readable, writable, _ = select.select(
+                    [self._from] if waiting else [],
+                    [self._to] if unsent else [],
+                    [],
+                    max(remaining, 0.0),
+                )
+                if remaining <= 0 or not (readable or writable):
+                    self.proc.kill()
+                    raise OracleFailure(
+                        f"oracle did not answer within {ORACLE_TIMEOUT_S:g} s"
+                    )
+                if writable:
+                    del unsent[:os.write(self._to, unsent)]
+                if readable:
+                    before = len(replies)
+                    self._read_replies(replies, requested)
+                    if len(replies) > before:
+                        deadline = time.monotonic() + ORACLE_TIMEOUT_S
         except OSError as exc:
             raise OracleFailure(f"oracle process failed: {exc}") from exc
-        reply, newline, self._pending = self._pending.partition(b"\n")
-        if not (reply or newline):
-            raise OracleFailure("oracle process closed its output stream")
-        text = reply.decode("utf-8", "replace").strip()
-        try:
-            return float(text)
-        except ValueError:
-            raise OracleFailure(
-                f"oracle replied with a non-number: {text!r}"
-            ) from None
+        if refused is not None:
+            raise refused
+        return np.array(replies, dtype=np.float64)
 
-    def _wait(self, readers: list, writers: list, deadline: float) -> None:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not any(
-            select.select(readers, writers, [], remaining)
-        ):
-            self.proc.kill()
-            raise OracleFailure(
-                f"oracle did not answer within {ORACLE_TIMEOUT_S:g} s"
-            )
+    def _read_replies(self, replies: List[float], requested: int) -> None:
+        """Read what the oracle has written and parse every complete reply
+        line, up to `requested` replies in all."""
+        chunk = os.read(self._from, 1 << 16)
+        if not chunk:
+            if not self._pending:
+                raise OracleFailure("oracle process closed its output stream")
+            chunk = b"\n"  # a last reply without its newline
+        buf = self._pending + chunk
+        start = 0
+        while len(replies) < requested:
+            end = buf.find(b"\n", start)
+            if end < 0:
+                break
+            text = buf[start:end].decode("utf-8", "replace").strip()
+            try:
+                replies.append(float(text))
+            except ValueError:
+                raise OracleFailure(
+                    f"oracle replied with a non-number: {text!r}"
+                ) from None
+            start = end + 1
+        self._pending = buf[start:]
 
     def close(self) -> None:
         try:

@@ -5,7 +5,7 @@ black-box weight recovery for comonotonic law-invariant estimators."""
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,13 +101,14 @@ def recover_comonotonic_weights(oracle: Oracle, n: int) -> WeightVector:
     """
     if n < 1:
         raise KOutOfRange(f"n must be >= 1, got {n}")
-    probe = np.zeros(n)
-    prefix = np.empty(n + 1)
-    prefix[0] = oracle_value(oracle, probe)
-    for k in range(1, n + 1):
-        probe = np.zeros(n)
-        probe[:k] = -1.0
-        prefix[k] = oracle_value(oracle, probe)
+
+    def probes() -> Iterator[np.ndarray]:
+        for k in range(n + 1):
+            probe = np.zeros(n)
+            probe[:k] = -1.0
+            yield probe
+
+    prefix = oracle_values(oracle, probes())
     a = np.diff(prefix)
 
     rises = np.diff(a)
@@ -134,6 +135,35 @@ def oracle_value(oracle: Oracle, x: np.ndarray) -> float:
             f"oracle returned {value} on a sample of {np.size(x)} values"
         )
     return value
+
+
+def oracle_values(oracle: Oracle, rows: Iterable[np.ndarray]) -> np.ndarray:
+    """The oracle on every row, in order, with oracle_value's checks.
+
+    An oracle with a `batch` method (SubprocessOracle) gets the rows in one
+    call, which may send them all before it reads a reply; any other
+    callable is called row by row. Rows are consumed as they are sent, so
+    a generator never has all of them in memory."""
+    batch = getattr(oracle, "batch", None)
+    if batch is None:
+        return np.array(
+            [oracle_value(oracle, x) for x in rows], dtype=np.float64
+        )
+    sizes: List[int] = []
+
+    def sized() -> Iterator[np.ndarray]:
+        for x in rows:
+            sizes.append(np.size(x))
+            yield x
+
+    values = np.asarray(batch(sized()), dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise OracleFailure(
+            f"oracle returned {values[i]} on a sample of {sizes[i]} values"
+        )
+    return values
 
 
 def l_estimator_oracle(a: WeightVector) -> Oracle:

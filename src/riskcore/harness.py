@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .estimators import (
     Oracle,
     discrete_es_profile,
     kusuoka_plugin,
-    oracle_value,
+    oracle_values,
 )
 from .population import (
     ReferenceDistribution,
@@ -50,6 +50,12 @@ SCHEMA = "riskcore/1"
 
 #: axiom-check tolerance is AXIOM_TOL * (1 + input scale)
 AXIOM_TOL = 1e-9
+
+#: trials an axiom draws and sends to the oracle together
+AXIOM_BLOCK = 64
+
+#: one axiom trial: the oracle inputs, and the verdict on their values
+Trial = Tuple[Tuple[np.ndarray, ...], Callable[..., Optional[dict]]]
 
 
 @dataclass(frozen=True)
@@ -216,9 +222,11 @@ def check_axioms(
 
     Every axiom is tested `trials` times at tolerance 1e-9 * (1 + scale),
     each axiom on its own RNG stream; an axiom stops at its first
-    violation, which is recorded as a concrete counterexample. Law
-    invariance and comonotonic additivity only apply to estimators
-    claiming those properties, so they can be switched off.
+    violation, which is recorded as a concrete counterexample. Trials go
+    to the oracle in blocks of AXIOM_BLOCK, so it may also be asked about
+    the rest of the violating trial's block. Law invariance and
+    comonotonic additivity only apply to estimators claiming those
+    properties, so they can be switched off.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -228,69 +236,95 @@ def check_axioms(
     def tol(scale: float) -> float:
         return AXIOM_TOL * (1.0 + scale)
 
-    def monotonicity(gen: np.random.Generator) -> Optional[dict]:
-        for t in range(trials):
-            x = gen.standard_normal(n)
-            y = x + np.abs(gen.standard_normal(n))
-            lhs, rhs = oracle_value(oracle, x), oracle_value(oracle, y)
+    # each axiom draws one trial as (oracle inputs, verdict on the oracle's
+    # values): the verdict returns the counterexample, or None if it holds
+
+    def monotonicity(gen: np.random.Generator, t: int) -> Trial:
+        x = gen.standard_normal(n)
+        y = x + np.abs(gen.standard_normal(n))
+
+        def verdict(lhs: float, rhs: float) -> Optional[dict]:
             if lhs < rhs - tol(max(np.abs(x).max(), np.abs(y).max())):
                 return {"trial": t, "x": x.tolist(), "y": y.tolist(),
                         "lhs": lhs, "rhs": rhs}
-        return None
+            return None
+        return (x, y), verdict
 
-    def cash_additivity(gen: np.random.Generator) -> Optional[dict]:
-        for t in range(trials):
-            x = gen.standard_normal(n)
-            m = float(gen.standard_normal())
-            lhs = oracle_value(oracle, x + m)
-            rhs = oracle_value(oracle, x) - m
+    def cash_additivity(gen: np.random.Generator, t: int) -> Trial:
+        x = gen.standard_normal(n)
+        m = float(gen.standard_normal())
+
+        def verdict(lhs: float, rho_x: float) -> Optional[dict]:
+            rhs = rho_x - m
             if abs(lhs - rhs) > tol(np.abs(x).max() + abs(m)):
                 return {"trial": t, "x": x.tolist(), "m": m,
                         "lhs": lhs, "rhs": rhs}
-        return None
+            return None
+        return (x + m, x), verdict
 
-    def positive_homogeneity(gen: np.random.Generator) -> Optional[dict]:
+    def positive_homogeneity(gen: np.random.Generator, t: int) -> Trial:
         # the first trial pins lambda = 0: rho(0) must be 0
-        for t in range(trials):
-            x = gen.standard_normal(n)
-            lam = 0.0 if t == 0 else float(np.abs(gen.standard_normal()))
-            lhs = oracle_value(oracle, lam * x)
-            rhs = lam * oracle_value(oracle, x)
+        x = gen.standard_normal(n)
+        lam = 0.0 if t == 0 else float(np.abs(gen.standard_normal()))
+
+        def verdict(lhs: float, rho_x: float) -> Optional[dict]:
+            rhs = lam * rho_x
             if abs(lhs - rhs) > tol((1.0 + lam) * np.abs(x).max()):
                 return {"trial": t, "x": x.tolist(), "lambda": lam,
                         "lhs": lhs, "rhs": rhs}
-        return None
+            return None
+        return (lam * x, x), verdict
 
-    def subadditivity(gen: np.random.Generator) -> Optional[dict]:
-        for t in range(trials):
-            x = gen.standard_normal(n)
-            y = gen.standard_normal(n)
-            lhs = oracle_value(oracle, x + y)
-            rhs = oracle_value(oracle, x) + oracle_value(oracle, y)
+    def subadditivity(gen: np.random.Generator, t: int) -> Trial:
+        x = gen.standard_normal(n)
+        y = gen.standard_normal(n)
+
+        def verdict(lhs: float, rho_x: float, rho_y: float) -> Optional[dict]:
+            rhs = rho_x + rho_y
             if lhs > rhs + tol(np.abs(x).max() + np.abs(y).max()):
                 return {"trial": t, "x": x.tolist(), "y": y.tolist(),
                         "lhs": lhs, "rhs": rhs}
-        return None
+            return None
+        return (x + y, x, y), verdict
 
-    def law_invariance(gen: np.random.Generator) -> Optional[dict]:
-        for t in range(trials):
-            x = gen.standard_normal(n)
-            perm = gen.permutation(n)
-            lhs = oracle_value(oracle, x[perm])
-            rhs = oracle_value(oracle, x)
+    def law_invariance(gen: np.random.Generator, t: int) -> Trial:
+        x = gen.standard_normal(n)
+        perm = gen.permutation(n)
+
+        def verdict(lhs: float, rhs: float) -> Optional[dict]:
             if abs(lhs - rhs) > tol(np.abs(x).max()):
                 return {"trial": t, "x": x.tolist(), "perm": perm.tolist(),
                         "lhs": lhs, "rhs": rhs}
-        return None
+            return None
+        return (x[perm], x), verdict
 
-    def comonotonic_additivity(gen: np.random.Generator) -> Optional[dict]:
-        for t in range(trials):
-            x, y = comonotonic_pair(gen, n)
-            lhs = oracle_value(oracle, x + y)
-            rhs = oracle_value(oracle, x) + oracle_value(oracle, y)
+    def comonotonic_additivity(gen: np.random.Generator, t: int) -> Trial:
+        x, y = comonotonic_pair(gen, n)
+
+        def verdict(lhs: float, rho_x: float, rho_y: float) -> Optional[dict]:
+            rhs = rho_x + rho_y
             if abs(lhs - rhs) > tol(np.abs(x).max() + np.abs(y).max()):
                 return {"trial": t, "x": x.tolist(), "y": y.tolist(),
                         "lhs": lhs, "rhs": rhs}
+            return None
+        return (x + y, x, y), verdict
+
+    def first_violation(
+        draw: Callable[[np.random.Generator, int], Trial],
+        gen: np.random.Generator,
+    ) -> Optional[dict]:
+        # one oracle_values call per block; the trials of a block are
+        # drawn in order and checked in order, so the first violation and
+        # every draw before it are those of a trial-by-trial loop
+        for first in range(0, trials, AXIOM_BLOCK):
+            block = [draw(gen, t)
+                     for t in range(first, min(first + AXIOM_BLOCK, trials))]
+            inputs = [x for xs, _ in block for x in xs]
+            values = oracle_values(oracle, inputs).reshape(len(block), -1)
+            for (_, verdict), vals in zip(block, values.tolist()):
+                counter = verdict(*vals)
+                if counter is not None:
+                    return counter
         return None
 
     checks = [
@@ -308,7 +342,7 @@ def check_axioms(
     counterexamples: dict = {}
     for idx, (name, run) in enumerate(checks):
         stream = (rng.stream_id * 8 + idx) % 2**64
-        counter = run(RngSpec(rng.seed, stream).generator())
+        counter = first_violation(run, RngSpec(rng.seed, stream).generator())
         axioms[name] = counter is None
         if counter is not None:
             counter["axiom"] = name

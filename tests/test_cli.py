@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -26,6 +27,7 @@ ORACLES = pathlib.Path(__file__).parent / "oracles"
 DES_ORACLE = f"{sys.executable} {ORACLES / 'des_oracle.py'}"
 STD_ORACLE = f"{sys.executable} {ORACLES / 'std_oracle.py'}"
 SILENT_ORACLE = f"{sys.executable} {ORACLES / 'silent_oracle.py'}"
+PARTIAL_ORACLE = f"{sys.executable} {ORACLES / 'partial_oracle.py'}"
 
 
 @pytest.fixture
@@ -198,6 +200,154 @@ class TestOracleCommands:
             with pytest.raises(OracleFailure, match="did not answer"):
                 oracle(np.zeros(100_000))
             assert oracle.proc.wait(timeout=5) is not None
+
+
+class TestPipelinedOracle:
+    """SubprocessOracle.batch writes requests while it reads replies."""
+
+    # what each failure of partial_oracle.py after its 7th reply must say
+    FAILURES = {
+        "stall": ["did not answer within 0.5 s"],
+        "exit": ["closed its output stream", "oracle process failed"],
+        "abc": ["replied with a non-number: 'abc'"],
+        "inf": ["oracle returned inf on a sample of {n} values"],
+    }
+
+    @pytest.mark.parametrize("mode", list(FAILURES))
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--n", "300"],
+        ["recover", "--n", "2000"],
+        ["axioms", "--n", "5", "--trials", "50", "--seed", "1"],
+    ])
+    def test_failure_mid_batch_is_one_line(self, capsys, monkeypatch, mode,
+                                          argv):
+        monkeypatch.setattr(cli, "ORACLE_TIMEOUT_S", 0.5)
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, argv[0], "--oracle", f"{PARTIAL_ORACLE} {mode} 7", *argv[1:]
+        )
+        assert time.monotonic() - started < 10.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 100
+        n = argv[argv.index("--n") + 1]
+        assert any(want.format(n=n) in err for want in self.FAILURES[mode]), err
+
+    def test_requests_beyond_both_pipes_do_not_deadlock(self):
+        # 1001 probes of 1000 values are ~4.5 MB of requests, far beyond
+        # both pipe buffers; they stream through and the weights are exact
+        out = subprocess.run(
+            [sys.executable, "-m", "riskcore.cli", "recover", "--oracle",
+             f"{DES_ORACLE} 16", "--n", "1000"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == 0, out.stderr
+        weights = json.loads(out.stdout)["weights"]
+        assert weights == [1 / 16] * 16 + [0.0] * 984
+
+    def test_many_small_requests_do_not_deadlock(self, monkeypatch):
+        # 50,000 one-value rows: ~200 KB of requests and ~250 KB of
+        # replies, so both pipes would fill if replies were read only
+        # after every request was written
+        monkeypatch.setattr(cli, "ORACLE_TIMEOUT_S", 5.0)
+        with SubprocessOracle(f"{DES_ORACLE} 1") as oracle:
+            values = oracle.batch(np.full(1, float(i)) for i in range(50_000))
+        assert values.tolist() == [-float(i) for i in range(50_000)]
+
+    def test_last_reply_without_newline_is_read(self):
+        script = "import sys; sys.stdin.readline(); sys.stdout.write('0.25')"
+        command = f"{sys.executable} -c {shlex.quote(script)}"
+        with SubprocessOracle(command) as oracle:
+            assert oracle(np.zeros(3)) == 0.25
+            with pytest.raises(OracleFailure):
+                oracle(np.zeros(3))
+
+    def test_unsent_requests_stay_bounded(self, monkeypatch):
+        # an oracle that never reads: rows are pulled only to keep about
+        # REQUEST_BUFFER_BYTES unsent beyond what the pipe has taken
+        monkeypatch.setattr(cli, "ORACLE_TIMEOUT_S", 0.3)
+        pulled = []
+
+        def rows():
+            for _ in range(2000):
+                pulled.append(1)
+                yield np.zeros(100)     # 400 bytes a request line
+
+        sleeper = f"{sys.executable} -c 'import time; time.sleep(60)'"
+        with SubprocessOracle(sleeper) as oracle:
+            with pytest.raises(OracleFailure, match="did not answer"):
+                oracle.batch(rows())
+        assert len(pulled) * 400 < 4 * cli.REQUEST_BUFFER_BYTES
+
+    def recording_oracle(self, path):
+        # writes every request line it receives to `path`, replies 0
+        script = (
+            "import sys\n"
+            f"out = open({str(path)!r}, 'w')\n"
+            "for line in sys.stdin:\n"
+            "    out.write(line); out.flush(); print(0.0, flush=True)\n"
+        )
+        return SubprocessOracle(f"{sys.executable} -c {shlex.quote(script)}")
+
+    def test_request_bytes_match_fmt(self, tmp_path):
+        rows = [
+            np.array([-0.0, 5e-324, 1e308, 0.1]),
+            np.random.default_rng(3).standard_normal(50),
+        ]
+        path = tmp_path / "requests.txt"
+        with self.recording_oracle(path) as oracle:
+            assert list(oracle.batch(rows)) == [0.0, 0.0]
+        want = "".join(" ".join(fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_request_is_refused_unsent(self, tmp_path, bad):
+        path = tmp_path / "requests.txt"
+        with self.recording_oracle(path) as oracle:
+            with pytest.raises(RiskError, match="not finite"):
+                oracle(np.array([1.0, bad]))
+            # the refused row wrote nothing, so the next reply is in step
+            assert oracle.batch([[2.0], [3.0]]).tolist() == [0.0, 0.0]
+            # rows before a refused row are answered; rows after it unsent
+            with pytest.raises(RiskError, match="2 values"):
+                oracle.batch([[4.0], [bad, 1.0], [5.0]])
+            assert oracle(np.array([6.0])) == 0.0
+        assert path.read_text() == "2.0\n3.0\n4.0\n6.0\n"
+
+
+class TestResourceHygiene:
+    """No pipe is left open and no oracle unreaped, under -X dev."""
+
+    DEV = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning"]
+
+    @pytest.mark.parametrize("argv", [
+        ["recover", "--oracle", f"{DES_ORACLE} 3", "--n", "200"],
+        ["axioms", "--oracle", f"{DES_ORACLE} 3", "--n", "6", "--trials",
+         "100", "--seed", "2"],
+    ])
+    def test_successful_runs_warn_nothing(self, argv):
+        out = subprocess.run(
+            [*self.DEV, "-m", "riskcore.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0
+        assert out.stderr == ""
+
+    def test_timed_out_oracle_warns_nothing(self):
+        # the timeout is shortened in the child, which then runs the CLI
+        script = (
+            "import sys\n"
+            "from riskcore import cli\n"
+            "cli.ORACLE_TIMEOUT_S = 0.5\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = subprocess.run(
+            [*self.DEV, "-c", script, "recover", "--oracle", SILENT_ORACLE,
+             "--n", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr == "error: oracle did not answer within 0.5 s\n"
 
 
 class TestExperiments:

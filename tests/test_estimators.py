@@ -35,6 +35,7 @@ from riskcore.errors import (
     NotNormalised,
     OracleFailure,
 )
+from riskcore.estimators import oracle_values
 from conftest import draw_monotone_simplex, draw_simplex
 
 X3 = Sample([3.0, -1.0, 2.0])
@@ -285,3 +286,53 @@ class TestRecovery:
             lambda v: -float(np.mean(v)) + 0.125, 4
         )
         assert np.allclose(rec.weights, [0.25] * 4, atol=1e-12)
+
+
+class BatchOracle:
+    """An oracle with a batch method, as SubprocessOracle has: -min(x)."""
+
+    def __init__(self, replies=None):
+        self.batches = []
+        self.replies = replies
+
+    def __call__(self, values):
+        raise AssertionError("a batch oracle must not be called row by row")
+
+    def batch(self, rows):
+        rows = list(rows)
+        self.batches.append(len(rows))
+        if self.replies is not None:
+            return self.replies
+        return [-float(np.min(r)) for r in rows]
+
+
+class TestOracleValues:
+    def test_plain_callable_is_called_row_by_row(self):
+        seen = []
+
+        def oracle(values):
+            seen.append(values)
+            return float(len(seen))
+
+        rows = [np.zeros(3), np.ones(3)]
+        values = oracle_values(oracle, rows)
+        assert values.dtype == np.float64 and values.tolist() == [1.0, 2.0]
+        assert seen[0] is rows[0] and seen[1] is rows[1]
+
+    def test_batch_method_gets_every_row_in_one_call(self):
+        oracle = BatchOracle()
+        rows = (np.full(4, -float(i)) for i in range(5))
+        assert oracle_values(oracle, rows).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert oracle.batches == [5]
+
+    def test_batch_non_finite_names_the_sample_size(self):
+        oracle = BatchOracle(replies=[0.0, float("inf")])
+        with pytest.raises(OracleFailure) as info:
+            oracle_values(oracle, [np.zeros(2), np.zeros(2000)])
+        assert str(info.value) == "oracle returned inf on a sample of 2000 values"
+
+    def test_recovery_sends_its_probes_in_one_batch(self):
+        oracle = BatchOracle()
+        rec = recover_comonotonic_weights(oracle, 6)
+        assert oracle.batches == [7]
+        assert rec.weights.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]

@@ -1,13 +1,23 @@
-"""Seeded experiment results pinned as literals.
+"""Seeded experiment results and axiom reports pinned as literals.
 
-The literals were produced by the replicate loop these reports ran on
-before it became one serial kernel; a change to the draw streams, the
-sort or the weight application moves them. They are compared at a
-relative 1e-12, a few ulps, so a different BLAS build still passes.
+The experiment literals were produced by the replicate loop these
+reports ran on before it became one serial kernel; a change to the draw
+streams, the sort or the weight application moves them. They are
+compared at a relative 1e-12, a few ulps, so a different BLAS build
+still passes.
+
+The axiom-report literals were produced by the trial-by-trial axiom
+loop, one oracle round trip per evaluation, before trials were sent to
+the oracle in blocks. Their JSON must match byte for byte: the oracles
+compute the same floats however the requests are scheduled.
 """
 
+import json
 import math
+import pathlib
+import sys
 
+import numpy as np
 import pytest
 
 from riskcore import (
@@ -16,12 +26,14 @@ from riskcore import (
     RngSpec,
     bootstrap_check,
     bundled_lipschitz_class,
+    check_axioms,
     clt_check,
     consistency_sweep,
     linear_spectrum,
     rate_experiment,
     uniform_spectrum,
 )
+from riskcore.cli import SubprocessOracle
 
 LAWS = {
     "uniform": ReferenceDistribution("uniform", a=0.0, b=1.0),
@@ -176,3 +188,232 @@ def assert_matches(got, want, path="results"):
 def test_seeded_results_match_golden(experiment, law):
     report = RUNS[experiment](LAWS[law])
     assert_matches(report.results, GOLDEN[(experiment, law)])
+
+
+ORACLES = pathlib.Path(__file__).parent / "oracles"
+
+
+def var_oracle(k):
+    """Value at risk at level k/n: coherent but for subadditivity."""
+    return lambda v: float(-np.sort(np.asarray(v, dtype=np.float64))[k - 1])
+
+
+def subprocess_axioms(command, n, trials, seed):
+    with SubprocessOracle(f"{sys.executable} {ORACLES / command}") as oracle:
+        return check_axioms(oracle, n, trials, RngSpec(seed))
+
+
+AXIOM_RUNS = {
+    "std": lambda seed: subprocess_axioms("std_oracle.py", 5, 200, seed),
+    "des": lambda seed: subprocess_axioms("des_oracle.py 2", 6, 150, seed),
+    # first violation at trial 98, inside the second block of trials
+    "var": lambda seed: check_axioms(var_oracle(3), 30, 200, RngSpec(seed)),
+}
+
+AXIOM_GOLDEN = {
+    ("std", 3): {
+        "schema": "riskcore/1",
+        "passed": False,
+        "trials": 200,
+        "n": 5,
+        "axioms": {
+            "monotonicity": False,
+            "cash_additivity": False,
+            "positive_homogeneity": True,
+            "subadditivity": True,
+            "law_invariance": True,
+            "comonotonic_additivity": False,
+        },
+        "counterexamples": {
+            "monotonicity": {
+                "trial": 0,
+                "x": [
+                    1.0122937017490639, 0.7536967787531172,
+                    0.05585145804087592, -0.6726423961318683,
+                    0.09804493922480564,
+                ],
+                "y": [
+                    2.086997330276249, 0.9821418933133119, 0.3882728615231688,
+                    -0.09161222036233219, 0.5642530495622741,
+                ],
+                "lhs": 0.6608429469352511,
+                "rhs": 0.8228954203264798,
+                "axiom": "monotonicity",
+            },
+            "cash_additivity": {
+                "trial": 0,
+                "x": [
+                    -2.9690945003369724, 0.4320538090331015,
+                    -0.9360363758021348, -0.10318767591402267,
+                    1.2435302087934463,
+                ],
+                "m": -0.5249988510774634,
+                "lhs": 1.608340894980275,
+                "rhs": 2.1333397460577386,
+                "axiom": "cash_additivity",
+            },
+            "comonotonic_additivity": {
+                "trial": 0,
+                "x": [
+                    -0.3074158292795996, 0.15948375529040598,
+                    -0.16448127544340416, 0.23715746198885668,
+                    0.2813465757967485,
+                ],
+                "y": [
+                    0.36157605166331414, 0.4838689795842564,
+                    0.4010096423347448, 0.5037352961560434, 0.5150373822962406,
+                ],
+                "lhs": 0.32956359626558074,
+                "rhs": 0.32956790330173014,
+                "axiom": "comonotonic_additivity",
+            },
+        },
+    },
+    ("std", 8): {
+        "schema": "riskcore/1",
+        "passed": False,
+        "trials": 200,
+        "n": 5,
+        "axioms": {
+            "monotonicity": False,
+            "cash_additivity": False,
+            "positive_homogeneity": True,
+            "subadditivity": True,
+            "law_invariance": True,
+            "comonotonic_additivity": False,
+        },
+        "counterexamples": {
+            "monotonicity": {
+                "trial": 0,
+                "x": [
+                    1.4301536384197964, -1.674938941191422,
+                    -0.11369478649011952, -0.8765792453404719,
+                    -1.2585397563843943,
+                ],
+                "y": [
+                    2.485122158766351, -0.37694492863201634,
+                    2.1301272096323114, 1.5514045152007272,
+                    -0.5184994279186562,
+                ],
+                "lhs": 1.221923953968471,
+                "rhs": 1.4119073272842844,
+                "axiom": "monotonicity",
+            },
+            "cash_additivity": {
+                "trial": 0,
+                "x": [
+                    -0.09912075592507226, 0.9600406399607583,
+                    0.29068668496553196, -0.264448643479093,
+                    -0.580754694662379,
+                ],
+                "m": -1.3824993051600423,
+                "lhs": 0.59254413672775,
+                "rhs": 1.9750434418877922,
+                "axiom": "cash_additivity",
+            },
+            "comonotonic_additivity": {
+                "trial": 0,
+                "x": [
+                    1.4561802313333816, 1.1142561688846717, 1.930390845916996,
+                    0.9958952976733632, 2.1681700390168226,
+                ],
+                "y": [
+                    1.4664394791066129, 1.409317200180485, 1.5455146515572777,
+                    1.0922621727790118, 1.5851646090261935,
+                ],
+                "lhs": 0.6795675288709802,
+                "rhs": 0.7031072338916433,
+                "axiom": "comonotonic_additivity",
+            },
+        },
+    },
+    ("des", 4): {
+        "schema": "riskcore/1",
+        "passed": True,
+        "trials": 150,
+        "n": 6,
+        "axioms": {
+            "monotonicity": True,
+            "cash_additivity": True,
+            "positive_homogeneity": True,
+            "subadditivity": True,
+            "law_invariance": True,
+            "comonotonic_additivity": True,
+        },
+    },
+    ("des", 9): {
+        "schema": "riskcore/1",
+        "passed": True,
+        "trials": 150,
+        "n": 6,
+        "axioms": {
+            "monotonicity": True,
+            "cash_additivity": True,
+            "positive_homogeneity": True,
+            "subadditivity": True,
+            "law_invariance": True,
+            "comonotonic_additivity": True,
+        },
+    },
+    ("var", 1): {
+        "schema": "riskcore/1",
+        "passed": False,
+        "trials": 200,
+        "n": 30,
+        "axioms": {
+            "monotonicity": True,
+            "cash_additivity": True,
+            "positive_homogeneity": True,
+            "subadditivity": False,
+            "law_invariance": True,
+            "comonotonic_additivity": True,
+        },
+        "counterexamples": {
+            "subadditivity": {
+                "trial": 98,
+                "x": [
+                    -0.4664079271764982, -1.3548409365104839,
+                    -0.19915069017086331, -0.04800487322145902,
+                    1.170225291536191, 0.047205100790469426,
+                    0.7273775016160383, 0.1929812068463968,
+                    -0.38297702307401665, 1.550382958926083,
+                    0.7963043391077859, -0.41161499486315656,
+                    0.15502267222387367, 2.034072217506331, 0.6427664536758079,
+                    2.042521332916297, 1.3014151344225102, -0.4576256484565852,
+                    1.1230426715288957, -0.38482714269630236,
+                    -0.09398700497802052, -0.8008963259681815,
+                    0.9638899403680405, 0.4509488137794345, -0.36642700913721,
+                    -0.6353489762437724, 0.16905233362708946,
+                    -0.7572449260205669, 0.11070318487240338,
+                    0.19445189798431978,
+                ],
+                "y": [
+                    -0.07520993098831184, -0.6813714957403619,
+                    1.2449039080999027, -0.3318015362468149,
+                    0.10799300641219474, 1.5503040839865143, 0.555827163452186,
+                    -0.23001792197735146, -2.3224985718458107,
+                    0.8170680705264355, -0.6642329376317581,
+                    -1.8319568349449187, 1.026358001287793,
+                    -1.1015391179688114, -0.8624158964324529,
+                    -0.34554802062866447, -0.9017627569207686,
+                    0.9586743760892015, 0.0045393133171671065,
+                    0.279389885345131, 0.7682914349051534, 1.1328649353441527,
+                    1.5935821772749215, 0.18428495101909892,
+                    0.005507108453136586, 0.1868858499635766,
+                    1.350529609325183, -0.3230604075107812, -0.804530438203696,
+                    1.3862574079287784,
+                ],
+                "lhs": 2.0362124322508457,
+                "rhs": 1.8587840439893784,
+                "axiom": "subadditivity",
+            },
+        },
+    },
+}
+
+
+
+@pytest.mark.parametrize("oracle, seed", list(AXIOM_GOLDEN))
+def test_axiom_reports_match_golden(oracle, seed):
+    report = AXIOM_RUNS[oracle](seed)
+    assert json.dumps(report.to_dict()) == json.dumps(AXIOM_GOLDEN[(oracle, seed)])

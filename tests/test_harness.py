@@ -36,6 +36,7 @@ from riskcore.errors import (
 )
 from riskcore.estimators import robust_sup
 from riskcore.harness import (
+    AXIOM_BLOCK,
     comonotonic_pair,
     kusuoka_grid_gap,
     kusuoka_tightness_gap,
@@ -122,6 +123,61 @@ class TestCheckAxioms:
         a = check_axioms(foil, 5, 100, RngSpec(5))
         b = check_axioms(foil, 5, 100, RngSpec(5))
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+
+#: oracle evaluations per trial of each axiom, in check_axioms order
+ROWS_PER_TRIAL = {
+    "monotonicity": 2,
+    "cash_additivity": 2,
+    "positive_homogeneity": 2,
+    "subadditivity": 3,
+    "law_invariance": 2,
+    "comonotonic_additivity": 3,
+}
+
+
+def counting(oracle):
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return oracle(values)
+
+    return counted, calls
+
+
+class TestAxiomBlocks:
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 150])
+    def test_coherent_estimator_gets_fourteen_calls_per_trial(self, trials):
+        a = canonical_weights(linear_spectrum(2.0), 7)
+        oracle, calls = counting(l_estimator_oracle(a))
+        report = check_axioms(oracle, 7, trials, RngSpec(4))
+        assert report.passed
+        assert len(calls) == sum(ROWS_PER_TRIAL.values()) * trials == 14 * trials
+
+    @pytest.mark.parametrize("foil, n", [
+        (lambda v: float(np.std(v, ddof=1)), 5),          # fails at trial 0
+        (lambda v: -float(np.mean(v)) + 1.0, 4),          # rho(0) != 0
+        # value at risk at level 3/30: subadditivity fails at trial 98
+        (lambda v: -float(np.sort(v)[2]), 30),
+    ])
+    def test_failing_axiom_overruns_by_less_than_a_block(self, foil, n):
+        trials = 200
+        oracle, calls = counting(foil)
+        report = check_axioms(oracle, n, trials, RngSpec(1))
+        assert not report.passed
+        stepwise = blocked = 0
+        for axiom, rows in ROWS_PER_TRIAL.items():
+            if axiom in report.counterexamples:
+                t = report.counterexamples[axiom]["trial"]
+                stepwise += rows * (t + 1)
+                blocked += rows * min(trials, (t // AXIOM_BLOCK + 1) * AXIOM_BLOCK)
+            else:
+                stepwise += rows * trials
+                blocked += rows * trials
+        assert len(calls) == blocked
+        failing_rows = sum(ROWS_PER_TRIAL[a] for a in report.counterexamples)
+        assert 0 <= len(calls) - stepwise <= (AXIOM_BLOCK - 1) * failing_rows
 
 
 class TestConsistencySweep:
