@@ -18,12 +18,20 @@ import shlex
 import subprocess
 import sys
 import time
-from typing import IO, Iterable, List, Optional, Sequence
+from typing import IO, Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .asymptotics import RngSpec, asymptotic_variance
-from .core import Mixture, RepresentingSet, Sample, WeightVector, t_inverse, t_map
+from .core import (
+    Mixture,
+    RepresentingSet,
+    Sample,
+    WeightVector,
+    _finite_array,
+    t_inverse,
+    t_map,
+)
 from .errors import OracleFailure, RiskError
 from .estimators import (
     discrete_es,
@@ -128,17 +136,17 @@ def _load_config(arg: str) -> dict:
     return obj
 
 
-def _vector_field(obj: object, key: str) -> List[float]:
+def _vector_field(obj: object, key: str) -> np.ndarray:
     if isinstance(obj, dict):
         obj = obj.get(key)
     if not isinstance(obj, list):
         raise RiskError(f"expected a JSON array (or object with {key!r})")
-    return [float(v) for v in obj]
+    return _finite_array(obj, key)
 
 
 def _weights_from_json(text: str) -> WeightVector:
     obj = _parse_json(text, "weights")
-    values = np.asarray(_vector_field(obj, "weights"))
+    values = _vector_field(obj, "weights")
     monotone = bool(np.all(np.diff(values) <= 1e-15))
     return WeightVector(values, monotone=monotone)
 
@@ -160,6 +168,38 @@ def _require(config: dict, key: str) -> object:
     if key not in config:
         raise RiskError(f"config is missing required field {key!r}")
     return config[key]
+
+
+def _read(kind: object, value: object) -> object:
+    if isinstance(kind, list):
+        return [_read(kind[0], v) for v in value]
+    if isinstance(kind, tuple):
+        if not isinstance(value, list) or len(value) != len(kind):
+            raise TypeError(f"expected a list of {len(kind)}")
+        return tuple(_read(k, v) for k, v in zip(kind, value))
+    out = kind(value)
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ValueError(f"{out} is not finite")
+    return out
+
+
+def _field(config: dict, key: str, kind: object, default: object = ...) -> Any:
+    """The config field `key` read as kind, or default when the field is
+    absent, or null with a default of None; with no default it is
+    required. kind is int or float, [kind] for a list of them, or a tuple
+    of kinds for a list of that length. A value that does not read as
+    kind, or a non-finite float, is a one-line RiskError."""
+    if key not in config and default is not ...:
+        return default
+    value = _require(config, key)
+    if value is None and default is None:
+        return None
+    try:
+        return _read(kind, value)
+    except (TypeError, ValueError, OverflowError):
+        raise RiskError(
+            f"config field {key!r} has a malformed value: {value!r}"
+        ) from None
 
 
 def _class_from_config(config: dict) -> LipschitzClass:
@@ -401,10 +441,10 @@ def cmd_clt(args: argparse.Namespace) -> int:
     report = clt_check(
         spectrum_from_json(_require(config, "spectrum")),
         distribution_from_json(_require(config, "dist")),
-        n=int(_require(config, "n")),
-        reps=int(_require(config, "reps")),
+        n=_field(config, "n", int),
+        reps=_field(config, "reps", int),
         rng=rng,
-        threshold=float(config.get("threshold", 0.05)),
+        threshold=_field(config, "threshold", float, 0.05),
     )
     return _report_exit(report, args)
 
@@ -415,11 +455,11 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     report = bootstrap_check(
         spectrum_from_json(_require(config, "spectrum")),
         distribution_from_json(_require(config, "dist")),
-        n=int(_require(config, "n")),
-        B=int(_require(config, "B")),
+        n=_field(config, "n", int),
+        B=_field(config, "B", int),
         rng=rng,
-        threshold=float(config.get("threshold", 0.08)),
-        grid_m=int(config.get("grid_m", 100)),
+        threshold=_field(config, "threshold", float, 0.08),
+        grid_m=_field(config, "grid_m", int, 100),
     )
     return _report_exit(report, args)
 
@@ -427,15 +467,14 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
 def cmd_consistency(args: argparse.Namespace) -> int:
     rng = _need_seed(args)
     config = _load_config(args.config)
-    threshold = config.get("threshold")
     report = consistency_sweep(
         _class_from_config(config),
         distribution_from_json(_require(config, "dist")),
-        n_grid=[int(n) for n in _require(config, "n_grid")],
-        reps=int(_require(config, "reps")),
+        n_grid=_field(config, "n_grid", [int]),
+        reps=_field(config, "reps", int),
         rng=rng,
-        threshold=None if threshold is None else float(threshold),
-        min_pass_fraction=float(config.get("min_pass_fraction", 1.0)),
+        threshold=_field(config, "threshold", float, None),
+        min_pass_fraction=_field(config, "min_pass_fraction", float, 1.0),
     )
     return _report_exit(report, args)
 
@@ -443,14 +482,13 @@ def cmd_consistency(args: argparse.Namespace) -> int:
 def cmd_rate(args: argparse.Namespace) -> int:
     rng = _need_seed(args)
     config = _load_config(args.config)
-    band = config.get("slope_band")
     report = rate_experiment(
         _class_from_config(config),
         distribution_from_json(_require(config, "dist")),
-        n_grid=[int(n) for n in _require(config, "n_grid")],
-        reps=int(_require(config, "reps")),
+        n_grid=_field(config, "n_grid", [int]),
+        reps=_field(config, "reps", int),
         rng=rng,
-        slope_band=None if band is None else (float(band[0]), float(band[1])),
+        slope_band=_field(config, "slope_band", (float, float), None),
     )
     return _report_exit(report, args)
 

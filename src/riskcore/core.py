@@ -39,7 +39,10 @@ def _as_readonly(values: np.ndarray) -> np.ndarray:
 
 
 def _finite_array(values: ArrayLike, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64).copy()
+    try:
+        arr = np.asarray(values, dtype=np.float64).copy()
+    except (TypeError, ValueError, OverflowError):
+        raise NonFiniteInput(f"{what} must be an array of numbers") from None
     if arr.ndim != 1:
         raise NonFiniteInput(f"{what} must be one-dimensional")
     if arr.size < 1:
@@ -169,6 +172,10 @@ class RepresentingSet:
         vertices: Iterable[Union[WeightVector, Mixture, ArrayLike]],
         sorted_domain: bool = True,
     ):
+        try:
+            vertices = iter(vertices)
+        except TypeError:
+            raise NonFiniteInput("vertices must be a list of vectors") from None
         rows = []
         for v in vertices:
             if isinstance(v, WeightVector):

@@ -4,7 +4,6 @@ black-box weight recovery for comonotonic law-invariant estimators."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -126,37 +125,28 @@ def recover_comonotonic_weights(oracle: Oracle, n: int) -> WeightVector:
     return WeightVector(a / a.sum(), monotone=True)
 
 
-def oracle_value(oracle: Oracle, x: np.ndarray) -> float:
-    """oracle(x) as a float; a non-finite value is an OracleFailure. The
-    diagnostic names the sample size, not the sample, to stay one line."""
-    value = float(oracle(x))
-    if not math.isfinite(value):
-        raise OracleFailure(
-            f"oracle returned {value} on a sample of {np.size(x)} values"
-        )
-    return value
-
-
 def oracle_values(oracle: Oracle, rows: Iterable[np.ndarray]) -> np.ndarray:
-    """The oracle on every row, in order, with oracle_value's checks.
+    """The oracle on every row, in order, as floats; a non-finite value is
+    an OracleFailure. The diagnostic names the sample size, not the
+    sample, to stay one line.
 
     An oracle with a `batch` method (SubprocessOracle) gets the rows in one
     call, which may send them all before it reads a reply; any other
-    callable is called row by row. Rows are consumed as they are sent, so
-    a generator never has all of them in memory."""
-    batch = getattr(oracle, "batch", None)
-    if batch is None:
-        return np.array(
-            [oracle_value(oracle, x) for x in rows], dtype=np.float64
-        )
+    callable is called row by row. Either way every row is evaluated before
+    the values are checked. Rows are consumed as they are sent, so a
+    generator never has all of them in memory."""
     sizes: List[int] = []
 
     def sized() -> Iterator[np.ndarray]:
         for x in rows:
-            sizes.append(np.size(x))
+            sizes.append(len(x))
             yield x
 
-    values = np.asarray(batch(sized()), dtype=np.float64)
+    batch = getattr(oracle, "batch", None)
+    if batch is None:
+        values = np.array([float(oracle(x)) for x in sized()], dtype=np.float64)
+    else:
+        values = np.asarray(batch(sized()), dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])

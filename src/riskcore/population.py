@@ -44,23 +44,29 @@ class ReferenceDistribution:
     params: dict
 
     def __init__(self, kind: str, **params: float):
+        try:
+            params = {key: float(value) for key, value in params.items()}
+        except (TypeError, ValueError):
+            raise DomainError(f"{kind} parameters must be numbers: {params}") from None
+        if not all(map(math.isfinite, params.values())):
+            raise DomainError(f"{kind} parameters must be finite: {params}")
         if kind == "uniform":
-            a, b = float(params["a"]), float(params["b"])
+            a, b = params["a"], params["b"]
             if not (a < b):
                 raise DomainError(f"uniform needs a < b, got a={a}, b={b}")
             params = {"a": a, "b": b}
         elif kind == "normal":
-            mean, sd = float(params["mean"]), float(params["sd"])
+            mean, sd = params["mean"], params["sd"]
             if not (sd > 0):
                 raise DomainError(f"normal needs sd > 0, got {sd}")
             params = {"mean": mean, "sd": sd}
         elif kind == "exponential":
-            rate = float(params["rate"])
+            rate = params["rate"]
             if not (rate > 0):
                 raise DomainError(f"exponential needs rate > 0, got {rate}")
             params = {"rate": rate}
         elif kind == "point_mass":
-            params = {"c": float(params["c"])}
+            params = {"c": params["c"]}
         else:
             raise DomainError(f"unknown distribution kind {kind!r}")
         object.__setattr__(self, "kind", kind)
@@ -277,7 +283,7 @@ def distribution_from_json(obj: dict) -> ReferenceDistribution:
     if kind not in fields:
         raise DomainError(f"unknown distribution type {kind!r}")
     try:
-        return ReferenceDistribution(kind, **{k: float(obj[k]) for k in fields[kind]})
+        return ReferenceDistribution(kind, **{k: obj[k] for k in fields[kind]})
     except KeyError as exc:
         raise DomainError(f"distribution JSON missing field {exc}") from exc
 

@@ -159,6 +159,8 @@ def exponential_spectrum(k: float) -> Spectrum:
         raise DomainError(f"exponential spectrum needs k > 0, got {k}")
     k = float(k)
     norm = 1.0 - math.exp(-k)
+    if norm <= 0.0:
+        raise DomainError(f"exponential spectrum k={k} is too small to normalise")
     return Spectrum(
         kind="exponential",
         params={"k": k},
@@ -176,7 +178,10 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
     Values must be nonnegative and non-increasing; masses within 1e-12 of
     1 are renormalised exactly, anything further off is rejected.
     """
-    pts = np.asarray(knots, dtype=np.float64)
+    try:
+        pts = np.asarray(knots, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("piecewise_linear knots must be numbers") from None
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise DomainError("piecewise_linear spectrum needs [[t, v], ...] knots")
     t, v = pts[:, 0], pts[:, 1]
@@ -293,15 +298,24 @@ def spectrum_from_json(obj: dict) -> Spectrum:
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("spectrum JSON must be an object with a 'type' field")
     kind = obj["type"]
+
+    def number(key: str) -> float:
+        try:
+            return float(obj[key])
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"spectrum JSON field {key!r} is not a number: {obj[key]!r}"
+            ) from None
+
     try:
         if kind == "es":
-            return expected_shortfall_spectrum(float(obj["alpha"]))
+            return expected_shortfall_spectrum(number("alpha"))
         if kind == "uniform":
             return uniform_spectrum()
         if kind == "linear":
-            return linear_spectrum(float(obj["slope"]))
+            return linear_spectrum(number("slope"))
         if kind == "exponential":
-            return exponential_spectrum(float(obj["k"]))
+            return exponential_spectrum(number("k"))
         if kind == "piecewise_linear":
             return piecewise_linear_spectrum(obj["knots"])
     except KeyError as exc:

@@ -492,6 +492,44 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "es", "--sample", three_file, "--k", "9")
         assert code == 2
 
+    LINEAR = '{"type":"linear","slope":2}'
+    NORMAL = '{"type":"normal","mean":0,"sd":1}'
+    CLT = '{"spectrum":%s,"dist":%s,"n":50,"reps":20,' % (LINEAR, NORMAL)
+    CLASS = '{"class":"bundled","dist":%s,"reps":2,' % NORMAL
+
+    @pytest.mark.parametrize("argv", [
+        ["clt", "--config", CLT + '"n":"abc"}'],
+        ["clt", "--config", CLT + '"n":[5]}'],
+        ["clt", "--config", CLT + '"reps":1e400}'],
+        ["clt", "--config", CLT + '"threshold":"x"}'],
+        ["clt", "--config", CLT + '"threshold":NaN}'],
+        ["rate", "--config", CLASS + '"n_grid":[10,20],"slope_band":[1]}'],
+        ["consistency", "--config", CLASS + '"n_grid":5}'],
+        ["variance", "--spectrum", LINEAR, "--dist",
+         '{"type":"normal","mean":0,"sd":"x"}'],
+        ["variance", "--spectrum", LINEAR, "--dist",
+         '{"type":"normal","mean":Infinity,"sd":1}'],
+        ["variance", "--spectrum", LINEAR, "--dist",
+         '{"type":"uniform","a":0,"b":Infinity}'],
+        ["variance", "--spectrum", LINEAR, "--dist",
+         '{"type":"exponential","rate":Infinity}'],
+        ["variance", "--dist", NORMAL, "--spectrum", '{"type":"es","alpha":"x"}'],
+        ["variance", "--dist", NORMAL, "--spectrum",
+         '{"type":"exponential","k":1e-320}'],
+        ["variance", "--dist", NORMAL, "--spectrum",
+         '{"type":"piecewise_linear","knots":[[0,"a"],[1,1]]}'],
+        ["compose", "--mixture", '{"mixture":[0.5,null]}'],
+        ["estimate", "--sample", "{sample}", "--repset", '{"vertices":[[1,"x"]]}'],
+        ["estimate", "--sample", "{sample}", "--repset", '{"vertices":5}'],
+    ])
+    def test_malformed_json_value_is_one_line(self, capsys, three_file, argv):
+        argv = [a.replace("{sample}", three_file) for a in argv]
+        if argv[0] in ("clt", "rate", "consistency"):
+            argv += ["--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSampleIo:
     def test_round_trip_exact(self, tmp_path):

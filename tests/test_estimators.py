@@ -331,6 +331,19 @@ class TestOracleValues:
             oracle_values(oracle, [np.zeros(2), np.zeros(2000)])
         assert str(info.value) == "oracle returned inf on a sample of 2000 values"
 
+    def test_plain_non_finite_is_checked_after_every_row(self):
+        replies = iter([0.0, float("nan"), 1.0])
+        sizes = []
+
+        def oracle(values):
+            sizes.append(values.size)
+            return next(replies)
+
+        with pytest.raises(OracleFailure) as info:
+            oracle_values(oracle, [np.zeros(2), np.zeros(2000), np.zeros(3)])
+        assert str(info.value) == "oracle returned nan on a sample of 2000 values"
+        assert sizes == [2, 2000, 3]
+
     def test_recovery_sends_its_probes_in_one_batch(self):
         oracle = BatchOracle()
         rec = recover_comonotonic_weights(oracle, 6)

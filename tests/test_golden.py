@@ -8,8 +8,10 @@ still passes.
 
 The axiom-report literals were produced by the trial-by-trial axiom
 loop, one oracle round trip per evaluation, before trials were sent to
-the oracle in blocks. Their JSON must match byte for byte: the oracles
-compute the same floats however the requests are scheduled.
+the oracle in blocks; the shifted_mean and first_entry literals by the
+blocked loop that still judged each trial on its own. Their JSON must
+match byte for byte: the oracles compute the same floats however the
+requests are scheduled and the verdicts taken.
 """
 
 import json
@@ -208,6 +210,12 @@ AXIOM_RUNS = {
     "des": lambda seed: subprocess_axioms("des_oracle.py 2", 6, 150, seed),
     # first violation at trial 98, inside the second block of trials
     "var": lambda seed: check_axioms(var_oracle(3), 30, 200, RngSpec(seed)),
+    # rho(0) = -1 breaks positive homogeneity at lambda = 0, where the
+    # right-hand side is 0 * rho(x) = -0.0
+    "shifted_mean": lambda seed: check_axioms(
+        lambda v: -float(np.mean(v)) - 1.0, 4, 200, RngSpec(seed)),
+    "first_entry": lambda seed: check_axioms(
+        lambda v: -float(v[0]), 6, 200, RngSpec(seed)),
 }
 
 AXIOM_GOLDEN = {
@@ -406,6 +414,89 @@ AXIOM_GOLDEN = {
                 "lhs": 2.0362124322508457,
                 "rhs": 1.8587840439893784,
                 "axiom": "subadditivity",
+            },
+        },
+    },
+    ("shifted_mean", 5): {
+        "schema": "riskcore/1",
+        "passed": False,
+        "trials": 200,
+        "n": 4,
+        "axioms": {
+            "monotonicity": True,
+            "cash_additivity": True,
+            "positive_homogeneity": False,
+            "subadditivity": False,
+            "law_invariance": True,
+            "comonotonic_additivity": False,
+        },
+        "counterexamples": {
+            "positive_homogeneity": {
+                "trial": 0,
+                "x": [
+                    -2.055716299052254, 0.4169520404106055,
+                    -0.7613811925141625, 1.5088766027147544,
+                ],
+                "lambda": 0.0,
+                "lhs": -1.0,
+                "rhs": -0.0,
+                "axiom": "positive_homogeneity",
+            },
+            "subadditivity": {
+                "trial": 0,
+                "x": [
+                    -0.01610472099096527, 0.4868539918795855,
+                    -1.3210127968212875, 0.47256323816455087,
+                ],
+                "y": [
+                    1.1516041793208363, 0.6008774204199102,
+                    1.3563857312240097, 0.5864556509246168,
+                ],
+                "lhs": -1.8294056735303141,
+                "rhs": -2.829405673530314,
+                "axiom": "subadditivity",
+            },
+            "comonotonic_additivity": {
+                "trial": 0,
+                "x": [
+                    -1.8519500481059843, -2.0716075811093275,
+                    -1.8693002375742696, -1.886541611761162,
+                ],
+                "y": [
+                    -0.13205744837198932, -0.377683995248478,
+                    -0.20791383647730335, -0.24312171929946144,
+                ],
+                "lhs": 1.1600441194869937,
+                "rhs": 0.16004411948699382,
+                "axiom": "comonotonic_additivity",
+            },
+        },
+    },
+    ("first_entry", 5): {
+        "schema": "riskcore/1",
+        "passed": False,
+        "trials": 200,
+        "n": 6,
+        "axioms": {
+            "monotonicity": True,
+            "cash_additivity": True,
+            "positive_homogeneity": True,
+            "subadditivity": True,
+            "law_invariance": False,
+            "comonotonic_additivity": True,
+        },
+        "counterexamples": {
+            "law_invariance": {
+                "trial": 0,
+                "x": [
+                    -0.13136971860370122, -0.3821357380557007,
+                    2.384011531953164, -0.5090025154263784,
+                    -0.016600283823337114, -0.0195966178287372,
+                ],
+                "perm": [3, 2, 5, 1, 4, 0],
+                "lhs": 0.5090025154263784,
+                "rhs": 0.13136971860370122,
+                "axiom": "law_invariance",
             },
         },
     },
