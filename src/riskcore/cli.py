@@ -82,36 +82,127 @@ def _request_line(row: np.ndarray) -> bytes:
 
 def read_sample(path: str) -> Sample:
     """One decimal per line; a single leading non-numeric line is treated
-    as a header; '-' reads standard input."""
+    as a header; '-' reads standard input. The input is UTF-8; bytes that
+    are not are kept as lone surrogates, so they read as any other
+    non-number."""
     if path == "-":
-        lines = sys.stdin.read().splitlines()
+        # a text stdin would decode with the locale's encoding and errors
+        stream = getattr(sys.stdin, "buffer", None)
+        data = sys.stdin.read() if stream is None else stream.read()
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise RiskError(f"cannot read sample file {path}: {exc}") from exc
+    values = _plain_values(data)
+    if values is None:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8", "surrogateescape")
+        values = _line_values(data)
+    if not len(values):
+        raise RiskError(f"sample file {path} contains no values")
+    return Sample(values)
+
+
+def _line_values(text: str) -> List[float]:
+    """The sample rules applied line by line: the reader of every input
+    _plain_values declines, and the source of every diagnostic."""
     values: List[float] = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
             continue
         try:
-            values.append(float(text))
+            values.append(float(line))
         except ValueError:
             if not values and lineno == 1:
                 continue  # header
             raise RiskError(
-                f"sample line {lineno} is not a number: {text!r}"
+                f"sample line {lineno} is not a number: {line!r}"
             ) from None
-    if not values:
-        raise RiskError(f"sample file {path} contains no values")
-    return Sample(values)
+    return values
+
+
+#: bytes a sample may hold past its header to be read by _plain_values
+_PLAIN_BYTES = b"0123456789+-.eE\r\n"
+
+#: bytes of sample text split and converted at once
+_PLAIN_CHUNK = 1 << 18
+
+
+def _plain_values(data: "bytes | str") -> Optional[np.ndarray]:
+    """The values of a sample whose value lines hold nothing but a decimal
+    and a line break, or None for any other input.
+
+    Such lines are split on their line breaks, and numpy converts each
+    token with float(), so every value is the one _line_values would read,
+    from the same text. A token float() refuses returns None, which leaves
+    the line number of the diagnostic to _line_values."""
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    newline = data.find(b"\n")
+    head = data if newline < 0 else data[:newline]
+    first = head.decode("utf-8", "surrogateescape")
+    if len(first.splitlines()) > 1:
+        return None  # another line break ends line 1
+    line = first.strip()
+    start = 0
+    if line:
+        try:
+            float(line)
+        except ValueError:
+            start = len(head) + 1  # a header
+    pieces = []
+    while start < len(data):
+        end = data.find(b"\n", start + _PLAIN_CHUNK)
+        end = len(data) if end < 0 else end
+        chunk = data[start:end]
+        if chunk.translate(None, _PLAIN_BYTES):
+            return None
+        try:
+            pieces.append(np.array(chunk.split(), dtype=np.float64))
+        except ValueError:
+            return None
+        start = end
+    return np.concatenate(pieces) if pieces else np.empty(0)
 
 
 def write_sample(values: Sequence[float], fh: IO[str]) -> None:
     for v in values:
         fh.write(fmt(v) + "\n")
+
+
+#: floats of an array formatted and written at once
+_JSON_CHUNK = 1 << 16
+
+
+def _print_document(**fields: object) -> None:
+    """Print one riskcore/1 JSON object holding `fields`, byte for byte as
+    print(json.dumps(...)) would.
+
+    A float array is written in pieces: json writes a float with
+    float.__repr__, as str() of a list does, so no list of every value
+    and no text of the whole array is ever held. A non-finite entry is an
+    error, refused before anything is written."""
+    for key, value in fields.items():
+        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
+            raise RiskError(f"{key} is not finite")
+    out = sys.stdout
+    out.write('{"schema": ' + json.dumps(SCHEMA))
+    for key, value in fields.items():
+        out.write(", " + json.dumps(key) + ": ")
+        if not isinstance(value, np.ndarray):
+            out.write(json.dumps(value))
+            continue
+        out.write("[")
+        for start in range(0, value.size, _JSON_CHUNK):
+            piece = str(value[start:start + _JSON_CHUNK].tolist())[1:-1]
+            out.write(piece if start == 0 else ", " + piece)
+        out.write("]")
+    out.write("}\n")
 
 
 def _parse_json(text: str, what: str) -> object:
@@ -155,13 +246,20 @@ def _mixture_from_json(text: str) -> Mixture:
     return Mixture(_vector_field(_parse_json(text, "mixture"), "mixture"))
 
 
+def _sorted_domain(obj: object) -> bool:
+    """The 'sorted_domain' field of a JSON object, true when absent; any
+    value but a JSON boolean is refused."""
+    value = obj.get("sorted_domain", True) if isinstance(obj, dict) else True
+    if not isinstance(value, bool):
+        raise RiskError(f"'sorted_domain' must be true or false, not {value!r}")
+    return value
+
+
 def _repset_from_json(text: str) -> RepresentingSet:
     obj = _parse_json(text, "representing set")
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise RiskError("representing-set JSON needs a 'vertices' field")
-    return RepresentingSet(
-        obj["vertices"], sorted_domain=bool(obj.get("sorted_domain", True))
-    )
+    return RepresentingSet(obj["vertices"], sorted_domain=_sorted_domain(obj))
 
 
 def _require(config: dict, key: str) -> object:
@@ -358,10 +456,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         value = l_estimate(canonical_weights(phi, x.n), x, sorted_domain=True)
         print(fmt(value))
     elif args.weights is not None:
-        obj = _parse_json(args.weights, "weights")
-        sorted_domain = True
-        if isinstance(obj, dict):
-            sorted_domain = bool(obj.get("sorted_domain", True))
+        sorted_domain = _sorted_domain(_parse_json(args.weights, "weights"))
         a = _weights_from_json(args.weights)
         print(fmt(l_estimate(a, x, sorted_domain=sorted_domain)))
     elif args.mixture is not None:
@@ -370,50 +465,33 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:
         M = _repset_from_json(args.repset)
         value, idx = robust_sup(M, x)
-        print(json.dumps({"schema": SCHEMA, "value": value, "argmax_index": idx}))
+        _print_document(value=value, argmax_index=idx)
     return 0
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
     phi = spectrum_from_json(_parse_json(args.spectrum, "spectrum"))
     a = canonical_weights(phi, args.n)
-    print(json.dumps({
-        "schema": SCHEMA,
-        "n": args.n,
-        "weights": [float(w) for w in a.weights],
-    }))
+    _print_document(n=args.n, weights=a.weights)
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     a = _weights_from_json(args.weights)
-    mu = t_map(a)
-    print(json.dumps({
-        "schema": SCHEMA,
-        "mixture": [float(m) for m in mu.masses],
-    }))
+    _print_document(mixture=t_map(a).masses)
     return 0
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
     mu = _mixture_from_json(args.mixture)
-    a = t_inverse(mu)
-    print(json.dumps({
-        "schema": SCHEMA,
-        "weights": [float(w) for w in a.weights],
-        "monotone": True,
-    }))
+    _print_document(weights=t_inverse(mu).weights, monotone=True)
     return 0
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
     with SubprocessOracle(args.oracle) as oracle:
         a = recover_comonotonic_weights(oracle, args.n)
-    print(json.dumps({
-        "schema": SCHEMA,
-        "n": args.n,
-        "weights": [float(w) for w in a.weights],
-    }))
+    _print_document(n=args.n, weights=a.weights)
     return 0
 
 

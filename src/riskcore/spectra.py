@@ -184,6 +184,8 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
         raise DomainError("piecewise_linear knots must be numbers") from None
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise DomainError("piecewise_linear spectrum needs [[t, v], ...] knots")
+    if not np.isfinite(pts).all():
+        raise DomainError("piecewise_linear knots must be finite")
     t, v = pts[:, 0], pts[:, 1]
     if t[0] != 0.0 or t[-1] != 1.0 or np.any(np.diff(t) <= 0.0):
         raise DomainError("knot positions must increase strictly from 0 to 1")

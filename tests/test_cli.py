@@ -3,14 +3,18 @@
 import argparse
 import io
 import json
+import os
 import pathlib
 import shlex
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskcore import cli
 from riskcore.cli import (
@@ -21,6 +25,7 @@ from riskcore.cli import (
     read_sample,
     write_sample,
 )
+from riskcore.core import Sample
 from riskcore.errors import OracleFailure, RiskError
 
 ORACLES = pathlib.Path(__file__).parent / "oracles"
@@ -519,6 +524,8 @@ class TestErrorPaths:
         ["variance", "--dist", NORMAL, "--spectrum",
          '{"type":"piecewise_linear","knots":[[0,"a"],[1,1]]}'],
         ["compose", "--mixture", '{"mixture":[0.5,null]}'],
+        ["weights", "--n", "3", "--spectrum",
+         '{"type":"piecewise_linear","knots":[[0,NaN],[1,1]]}'],
         ["estimate", "--sample", "{sample}", "--repset", '{"vertices":[[1,"x"]]}'],
         ["estimate", "--sample", "{sample}", "--repset", '{"vertices":5}'],
     ])
@@ -531,6 +538,116 @@ class TestErrorPaths:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+class TestSortedDomain:
+    SAMPLE = "1\n4\n-2\n"
+    FORMS = {
+        "--repset": '{"vertices":[[0.5,0.5,0]],"sorted_domain":%s}',
+        "--weights": '{"weights":[0.5,0.5,0],"sorted_domain":%s}',
+    }
+
+    @pytest.mark.parametrize("flag", ['"no"', '"false"', "null", "0", "1",
+                                      "[]"])
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_only_a_json_boolean_is_read(self, capsys, tmp_path, form, flag):
+        path = tmp_path / "x.csv"
+        path.write_text(self.SAMPLE)
+        code, out, err = run_cli(capsys, "estimate", "--sample", str(path),
+                                 form, self.FORMS[form] % flag)
+        assert code == 2 and out == ""
+        assert err == (f"error: 'sorted_domain' must be true or false, "
+                       f"not {json.loads(flag)!r}\n")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("true", 0.5),     # the losses 2 and -1 of the sorted sample
+        ("false", -2.5),   # the losses -1 and -4 of the first two values
+    ])
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_booleans_pick_the_domain(self, capsys, tmp_path, form, flag,
+                                      value):
+        path = tmp_path / "x.csv"
+        path.write_text(self.SAMPLE)
+        code, out, _ = run_cli(capsys, "estimate", "--sample", str(path),
+                               form, self.FORMS[form] % flag)
+        assert code == 0
+        result = json.loads(out)["value"] if form == "--repset" else out
+        assert float(result) == value
+
+
+def reference_read(text, path):
+    """read_sample as a loop over every line: the rules of the sample
+    format, kept here as the reference of the array-native reader."""
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            if not values and lineno == 1:
+                continue  # header
+            raise RiskError(
+                f"sample line {lineno} is not a number: {line!r}"
+            ) from None
+    if not values:
+        raise RiskError(f"sample file {path} contains no values")
+    return Sample(values)
+
+
+def outcome(read):
+    """Bit pattern of the values read, or the error's type and message."""
+    try:
+        return read().values.tobytes()
+    except RiskError as exc:
+        return type(exc), str(exc)
+
+
+#: tokens float() and numpy's readers disagree on, or that only float()
+#: reads, or that no reader takes
+TRAP_TOKENS = [
+    "1_0", "\u0661\u0662", "nan", "-inf", "Infinity", "1e999", "-0.0",
+    "5e-324", "+1", ".5", "5.", "-.5E+2", "1e", "e5", "--1", "1-2", "1 2",
+    "1\t2", "1\x002", "0x10", "1,5", "pnl", "P&L \u20ac", "\udcff",
+]
+#: every break str.splitlines knows; numpy's readers know only a few
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+               "\x1e", "\x85", "\u2028", "\u2029"]
+PADS = ["", " ", "\t", "\xa0", " \t "]
+
+decimals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+)
+sample_lines = st.one_of(
+    decimals,
+    st.sampled_from(TRAP_TOKENS),
+    st.tuples(st.sampled_from(PADS), st.sampled_from(TRAP_TOKENS + ["2.5"]),
+              st.sampled_from(PADS)).map("".join),
+    st.sampled_from(PADS),      # blank and whitespace-only lines
+)
+mixed_texts = st.tuples(
+    st.lists(st.tuples(sample_lines, st.one_of(
+        st.just("\n"), st.sampled_from(LINE_BREAKS))), max_size=50),
+    st.sampled_from(["", "7"]),     # with and without a last line break
+).map(lambda drawn: "".join(map("".join, drawn[0])) + drawn[1])
+# decimals below a header or not, the texts read without the loop, with
+# at most one line that is not
+plain_texts = st.tuples(
+    st.sampled_from(["", "\n", "pnl\n", "1 2\n", "\udcff\n", "nan\n"]),
+    st.lists(st.one_of(decimals, st.just("")), max_size=49),
+    st.sampled_from([[], ["1 2"], [" 2.5\t"], ["nan"], ["1_0"], ["1e999"]]),
+    st.integers(0, 49),
+    st.sampled_from(["\n", "\r\n"]),
+).map(lambda drawn: drawn[0] + drawn[4].join(
+    drawn[1][:drawn[3]] + drawn[2] + drawn[1][drawn[3]:]))
+sample_texts = st.one_of(plain_texts, mixed_texts)
+
+
+@pytest.fixture(scope="module")
+def sample_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("samples")
+
+
 class TestSampleIo:
     def test_round_trip_exact(self, tmp_path):
         gen = np.random.default_rng(3)
@@ -540,6 +657,51 @@ class TestSampleIo:
             write_sample(values, fh)
         back = read_sample(str(path))
         assert np.array_equal(back.values, values)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(text=sample_texts, chunk=st.sampled_from([1, 16, 1 << 18]))
+    def test_reader_matches_the_line_loop(self, sample_dir, text, chunk):
+        # a file, a text stdin with no binary buffer, and a stdin with one
+        data = text.encode("utf-8", "surrogateescape")
+        path = sample_dir / "sample.txt"
+        path.write_bytes(data)
+        expected = outcome(lambda: reference_read(text, str(path)))
+        stdin_expected = outcome(lambda: reference_read(text, "-"))
+        stdins = [io.StringIO(text),
+                  io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")]
+        with mock.patch.object(cli, "_PLAIN_CHUNK", chunk):
+            assert outcome(lambda: read_sample(str(path))) == expected
+            for stdin in stdins:
+                with mock.patch.object(sys, "stdin", stdin):
+                    assert outcome(lambda: read_sample("-")) == stdin_expected
+
+    def test_plain_lines_skip_the_line_loop(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(5).standard_t(3, 1000)
+        path = tmp_path / "x.csv"
+        path.write_bytes(("pnl\r\n" + "\r\n".join(map(repr, values.tolist())))
+                         .encode())
+        monkeypatch.setattr(cli, "_line_values", None)
+        assert np.array_equal(read_sample(str(path)).values, values)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0], [5e-324], [1e308], [0.1],
+        [0.1, -0.0, 5e-324],        # a partial last piece
+        [0.1, -0.0, 5e-324, 1e308],  # pieces end with the array
+        [],
+    ])
+    def test_float_array_writer_matches_json_dumps(self, capsys, monkeypatch,
+                                                   values):
+        monkeypatch.setattr(cli, "_JSON_CHUNK", 2)
+        cli._print_document(n=len(values), weights=np.array(values),
+                            monotone=True)
+        expected = json.dumps({"schema": "riskcore/1", "n": len(values),
+                               "weights": values, "monotone": True})
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_float_array_writer_refuses_non_finite(self, capsys):
+        with pytest.raises(RiskError, match="weights is not finite"):
+            cli._print_document(weights=np.array([0.5, np.nan]))
+        assert capsys.readouterr().out == ""
 
 
 class TestConsoleEntry:
@@ -561,6 +723,25 @@ class TestConsoleEntry:
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
         assert out.stderr.count("\n") == 1
+
+    def test_undecodable_sample_is_one_line_from_file_and_stdin(
+            self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"pnl\n1.0\n\xff\xfe\n")
+        argv = [sys.executable, "-m", "riskcore.cli", "es", "--k", "1",
+                "--sample"]
+        from_file = subprocess.run(argv + [str(path)], capture_output=True,
+                                   timeout=60)
+        # the stdin reader may not depend on the locale's error handler
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+        with open(path, "rb") as fh:
+            from_stdin = subprocess.run(argv + ["-"], stdin=fh, env=env,
+                                        capture_output=True, timeout=60)
+        for out in (from_file, from_stdin):
+            assert out.returncode == 2 and out.stdout == b""
+            assert out.stderr == (
+                b"error: sample line 3 is not a number: '\\udcff\\udcfe'\n"
+            )
 
     def test_cli_import_leaves_scipy_out(self):
         # scipy.special is most of the cold start; only normal laws need it

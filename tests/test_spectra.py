@@ -216,6 +216,17 @@ class TestPiecewiseLinear:
         with pytest.raises(DomainError):
             piecewise_linear_spectrum([[0.1, 1.0], [1.0, 1.0]])
 
+    @pytest.mark.parametrize("knots", [
+        [[0.0, float("nan")], [1.0, 1.0]],
+        [[0.0, 1.0], [float("nan"), 1.0], [1.0, 1.0]],
+        [[0.0, float("inf")], [1.0, 1.0]],
+    ])
+    def test_rejects_non_finite_knots(self, knots):
+        # NaN passes every order and mass comparison, so it must be refused
+        # before them
+        with pytest.raises(DomainError, match="knots must be finite"):
+            piecewise_linear_spectrum(knots)
+
 
 class TestQuadratureFallback:
     def _custom_linear(self):
