@@ -42,9 +42,44 @@ class RngSpec:
             if not (0 <= int(v) < 2**64):
                 raise DomainError(f"{name} must be a 64-bit unsigned integer")
 
+    def streams(self) -> Callable[[int], np.random.Generator]:
+        """stream(i) -> a generator that draws exactly what
+        RngSpec(seed, i).generator() draws, for any 64-bit stream id i.
+
+        Philox is keyed, not seeded, so another stream needs a new key and
+        not a new generator. The closure holds one Philox and one
+        Generator, and stream(i) re-keys that Philox to (seed, i) with its
+        counter at 0 and its buffers empty, at a fraction of the cost of
+        building a generator; at small n that cost dominates a replicate.
+
+        The generator stream(i) returns is valid only until the next call
+        of the same stream closure, which re-keys it: it must not escape
+        the replicate that asked for it. Each streams() call owns its own
+        Philox, so two experiments never share one.
+        """
+        bits = np.random.Philox(0)  # re-keyed before every use
+        gen = np.random.Generator(bits)
+        seed = int(self.seed)
+        zeros = np.zeros(4, dtype=np.uint64)
+
+        def stream(i: int) -> np.random.Generator:
+            bits.state = {
+                "bit_generator": "Philox",
+                "state": {
+                    "counter": zeros,
+                    "key": np.array([seed, i], dtype=np.uint64),
+                },
+                "buffer": zeros,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            return gen
+
+        return stream
+
     def generator(self) -> np.random.Generator:
-        key = (int(self.stream_id) << 64) | int(self.seed)
-        return np.random.Generator(np.random.Philox(key=key))
+        return self.streams()(int(self.stream_id))
 
 
 def indexed_map(
@@ -221,9 +256,10 @@ def bootstrap_distribution(
     values = x.values
     base = float(np.dot(weights, -np.sort(values)))
     root_n = math.sqrt(x.n)
+    stream = rng.streams()
 
     def draw(i: int) -> np.ndarray:
-        gen = RngSpec(rng.seed, i + 1).generator()
+        gen = stream(i + 1)
         return values[gen.integers(0, values.size, size=values.size)]
 
     return root_n * (indexed_map(draw, B, weights) - base)

@@ -275,7 +275,12 @@ def _read(kind: object, value: object) -> object:
         if not isinstance(value, list) or len(value) != len(kind):
             raise TypeError(f"expected a list of {len(kind)}")
         return tuple(_read(k, v) for k, v in zip(kind, value))
+    # only a JSON number reads as a number; bool is a subclass of int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
     out = kind(value)
+    if kind is int and out != value:
+        raise ValueError(f"{value!r} is not an integer")
     if isinstance(out, float) and not math.isfinite(out):
         raise ValueError(f"{out} is not finite")
     return out
@@ -285,8 +290,10 @@ def _field(config: dict, key: str, kind: object, default: object = ...) -> Any:
     """The config field `key` read as kind, or default when the field is
     absent, or null with a default of None; with no default it is
     required. kind is int or float, [kind] for a list of them, or a tuple
-    of kinds for a list of that length. A value that does not read as
-    kind, or a non-finite float, is a one-line RiskError."""
+    of kinds for a list of that length. Only a JSON number reads as int or
+    float, and as int only when it is integral (2000.0 reads as 2000). A
+    value that does not read as kind, or a non-finite float, is a one-line
+    RiskError."""
     if key not in config and default is not ...:
         return default
     value = _require(config, key)
@@ -675,6 +682,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return args.fn(args)
     except RiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the interpreter's last flush does not fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
         return 2
 
 

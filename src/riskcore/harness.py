@@ -324,10 +324,10 @@ def check_axioms(
 
     axioms: dict = {}
     counterexamples: dict = {}
+    stream = rng.streams()
     for idx, (name, draw, relation, rhs_of) in enumerate(checks):
-        stream = (rng.stream_id * 8 + idx) % 2**64
         counter = first_violation(
-            draw, relation, rhs_of, RngSpec(rng.seed, stream).generator()
+            draw, relation, rhs_of, stream((rng.stream_id * 8 + idx) % 2**64)
         )
         axioms[name] = counter is None
         if counter is not None:
@@ -354,14 +354,14 @@ def _class_errors(
         [population_spectral_risk(dist, phi) for phi in cls.members]
     )
     per_n: List[np.ndarray] = []
+    stream = rng.streams()
     for i_n, n in enumerate(n_grid):
         weights = np.vstack(
             [canonical_weights(phi, n).weights for phi in cls.members]
         )
 
         def draw(rep: int) -> np.ndarray:
-            gen = RngSpec(rng.seed, ((i_n + 1) << 32) | rep).generator()
-            return sample_from(dist, gen, n)
+            return sample_from(dist, stream(((i_n + 1) << 32) | rep), n)
 
         estimates = indexed_map(draw, reps, weights)
         per_n.append(np.max(np.abs(estimates - targets), axis=1))
@@ -497,9 +497,10 @@ def clt_check(
     target = population_spectral_risk(dist, phi)
     weights = canonical_weights(phi, n).weights
     root_n = np.sqrt(n)
+    stream = rng.streams()
 
     def draw(rep: int) -> np.ndarray:
-        return sample_from(dist, RngSpec(rng.seed, rep + 1).generator(), n)
+        return sample_from(dist, stream(rep + 1), n)
 
     draws = root_n * (indexed_map(draw, reps, weights) - target)
     limit = ReferenceDistribution("normal", mean=0.0, sd=float(np.sqrt(sigma2)))

@@ -37,7 +37,9 @@ class ReferenceDistribution:
 
     Supported kinds: uniform(a, b), normal(mean, sd), exponential(rate),
     point_mass(c). The point mass exists for trivial-case tests only; its
-    density and quantile derivative are errors.
+    density and quantile derivative are errors. A law whose quantile range
+    over [TAIL_DELTA, 1 - TAIL_DELTA] does not have a finite width is
+    refused: every integral over a quantile range would overflow on it.
     """
 
     kind: str
@@ -71,6 +73,22 @@ class ReferenceDistribution:
             raise DomainError(f"unknown distribution kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
+        # the normal quantile comes from the standard library here: scipy
+        # is imported by the accessors only, not by building a law
+        if kind == "normal":
+            from statistics import NormalDist
+
+            law = NormalDist(params["mean"], params["sd"])
+            lo, hi = law.inv_cdf(TAIL_DELTA), law.inv_cdf(1.0 - TAIL_DELTA)
+        else:
+            with np.errstate(over="ignore"):
+                tails = np.array([TAIL_DELTA, 1.0 - TAIL_DELTA])
+                lo, hi = self.quantile(tails).tolist()
+        if not math.isfinite(hi - lo):
+            raise DomainError(
+                f"{kind} parameters give a quantile range that overflows: "
+                f"{params}"
+            )
 
     # -- accessors ---------------------------------------------------------
 
@@ -91,7 +109,7 @@ class ReferenceDistribution:
 
     def quantile(self, u: Floats) -> Floats:
         u = np.asarray(u, dtype=np.float64)
-        if np.any(u <= 0.0) or np.any(u > 1.0):
+        if ((u <= 0.0) | (u > 1.0)).any():
             raise AlphaOutOfRange("quantile argument must lie in (0, 1]")
         if self.kind == "uniform":
             a, b = self.params["a"], self.params["b"]

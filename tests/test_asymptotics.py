@@ -43,6 +43,35 @@ class TestRngSpec:
         with pytest.raises(DomainError):
             RngSpec(0, 2**64)
 
+    DRAWS = {
+        "random": lambda g: g.random(9),
+        "standard_normal": lambda g: g.standard_normal(9),
+        "integers": lambda g: g.integers(0, 250, 250),
+    }
+    # what the previous stream may leave in the shared Philox: nothing, a
+    # buffered uint32, or a half-used block of four words
+    LEFTOVERS = {
+        "none": lambda g: None,
+        "buffered_uint32": lambda g: g.integers(0, 5, size=3),
+        "half_used_buffer": lambda g: g.random(3),
+    }
+
+    @pytest.mark.parametrize("leftover", sorted(LEFTOVERS))
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_stream_draws_what_a_keyed_philox_draws(self, seed, draw,
+                                                    leftover):
+        stream = RngSpec(seed).streams()
+        for i in (0, 1, (3 << 32) | 9, 2**64 - 1):
+            # the key (stream << 64) | seed, as generator() built it
+            # before streams were re-keyed
+            keyed = np.random.Generator(np.random.Philox(key=(i << 64) | seed))
+            expected = self.DRAWS[draw](keyed)
+            self.LEFTOVERS[leftover](stream(7))
+            assert np.array_equal(self.DRAWS[draw](stream(i)), expected)
+            assert np.array_equal(
+                self.DRAWS[draw](RngSpec(seed, i).generator()), expected)
+
 
 class TestBootstrapResample:
     def test_singleton(self):

@@ -537,6 +537,61 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    HUGE_UNIFORM = '{"type":"uniform","a":-1e308,"b":1e308}'
+    HUGE_CONFIG = ('{"spectrum":%s,"dist":%s,"n":20,"reps":5,"B":5}'
+                   % (LINEAR, HUGE_UNIFORM))
+
+    @pytest.mark.parametrize("argv", [
+        ["variance", "--spectrum", LINEAR, "--dist", HUGE_UNIFORM],
+        ["clt", "--seed", "1", "--config", HUGE_CONFIG],
+        ["bootstrap", "--seed", "1", "--config", HUGE_CONFIG],
+        ["variance", "--spectrum", LINEAR, "--dist",
+         '{"type":"normal","mean":1e308,"sd":1e308}'],
+    ])
+    def test_law_whose_quantile_range_overflows_is_one_line(self, capsys,
+                                                            argv):
+        # refused before any quadrature, which warned or raised on them
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "quantile range that overflows" in err
+
+
+class TestNumericConfigFields:
+    """Numeric config fields read JSON numbers only; int fields read only
+    integral ones."""
+
+    LAW = '"spectrum":{"type":"linear","slope":2},"dist":{"type":"normal","mean":0,"sd":1}'
+
+    def clt(self, capsys, fields):
+        return run_cli(capsys, "clt", "--seed", "1", "--config",
+                       "{%s,%s}" % (self.LAW, fields))
+
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param('"n":true,"reps":20', "'n' has a malformed value: True",
+                     id="boolean-int"),
+        pytest.param('"n":50,"reps":20,"threshold":false',
+                     "'threshold' has a malformed value: False",
+                     id="boolean-float"),
+        pytest.param('"n":50,"reps":"20"', "'reps' has a malformed value: '20'",
+                     id="string-int"),
+        pytest.param('"n":50,"reps":20,"threshold":"0.05"',
+                     "'threshold' has a malformed value: '0.05'",
+                     id="string-float"),
+        pytest.param('"n":50,"reps":50.7', "'reps' has a malformed value: 50.7",
+                     id="non-integral-int"),
+    ])
+    def test_refused(self, capsys, fields, message):
+        code, out, err = self.clt(capsys, fields)
+        assert code == 2 and out == ""
+        assert err == f"error: config field {message}\n"
+
+    def test_integral_float_reads_as_int(self, capsys):
+        code, out, _ = self.clt(capsys, '"n":50.0,"reps":20.0')
+        assert (code, out) == self.clt(capsys, '"n":50,"reps":20')[:2]
+        assert json.loads(out)["config"]["n"] == 50
+        assert '"reps": 20,' in out
+
 
 class TestSortedDomain:
     SAMPLE = "1\n4\n-2\n"
@@ -713,6 +768,26 @@ class TestConsoleEntry:
         )
         assert out.returncode == 0
         assert out.stdout.strip() == "-0.5"
+
+    def test_closed_stdout_is_one_line(self):
+        # about 4 MB of weights: the writer is still writing when the
+        # reader stops after 20 bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "riskcore.cli", "weights", "--spectrum",
+             '{"type":"uniform"}', "--n", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.read(20) == b'{"schema": "riskcore'
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert err == "error: standard output was closed\n"
 
     def test_stack_traces_never_leak(self, three_file):
         out = subprocess.run(

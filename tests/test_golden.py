@@ -1,17 +1,23 @@
 """Seeded experiment results and axiom reports pinned as literals.
 
 The experiment literals were produced by the replicate loop these
-reports ran on before it became one serial kernel; a change to the draw
-streams, the sort or the weight application moves them. They are
-compared at a relative 1e-12, a few ulps, so a different BLAS build
-still passes.
+reports ran on before it became one serial kernel, when every replicate
+built a new generator for its stream; they hold now that an experiment
+re-keys one Philox per stream (RngSpec.streams). The streams are: clt
+replicate rep on stream rep + 1; bootstrap data on stream 0 and resample
+b on stream b + 1; consistency and rate replicate rep at grid index i_n
+on stream ((i_n + 1) << 32) | rep. A change to the draw streams, the
+sort or the weight application moves them. They are compared at a
+relative 1e-12, a few ulps, so a different BLAS build still passes.
 
 The axiom-report literals were produced by the trial-by-trial axiom
 loop, one oracle round trip per evaluation, before trials were sent to
 the oracle in blocks; the shifted_mean and first_entry literals by the
-blocked loop that still judged each trial on its own. Their JSON must
-match byte for byte: the oracles compute the same floats however the
-requests are scheduled and the verdicts taken.
+blocked loop that still judged each trial on its own. The j-th axiom
+checked draws from stream stream_id * 8 + j, now from the one re-keyed
+Philox of its check_axioms call. Their JSON must match byte for byte:
+the oracles compute the same floats however the requests are scheduled
+and the verdicts taken.
 """
 
 import json

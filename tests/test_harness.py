@@ -22,8 +22,10 @@ from riskcore import (
     consistency_sweep,
     expected_shortfall_spectrum,
     exponential_spectrum,
+    kolmogorov_distance,
     l_estimator_oracle,
     linear_spectrum,
+    population_spectral_risk,
     rate_experiment,
     uniform_spectrum,
 )
@@ -212,6 +214,21 @@ class TestConsistencySweep:
         with pytest.raises(DomainError):
             consistency_sweep(cls, uniform01, [100, 50], 2, RngSpec(0))
 
+    def test_replicate_draws_from_stream_of_its_grid_index_and_rep(
+            self, std_normal):
+        cls = LipschitzClass([uniform_spectrum(), linear_spectrum(2.0)])
+        grid, reps = [20, 50], 6
+        report = consistency_sweep(cls, std_normal, grid, reps, RngSpec(9))
+        targets = np.array(
+            [population_spectral_risk(std_normal, phi) for phi in cls.members])
+        for i_n, (n, row) in enumerate(zip(grid, report.results["per_n"])):
+            w = np.vstack([canonical_weights(phi, n).weights
+                           for phi in cls.members])
+            for rep in range(reps):
+                gen = RngSpec(9, ((i_n + 1) << 32) | rep).generator()
+                est = w @ -np.sort(sample_from(std_normal, gen, n))
+                assert row["errors"][rep] == np.max(np.abs(est - targets))
+
 
 class TestRateExperiment:
     def test_point_mass_degenerates(self, point_mass3):
@@ -256,6 +273,21 @@ class TestCltCheck:
         a = clt_check(uniform_spectrum(), uniform01, 200, 100, RngSpec(3))
         b = clt_check(uniform_spectrum(), uniform01, 200, 100, RngSpec(3))
         assert a.to_json() == b.to_json()
+
+    def test_replicate_rep_draws_from_stream_rep_plus_one(self, uniform01):
+        phi, n, reps = linear_spectrum(2.0), 30, 40
+        report = clt_check(phi, uniform01, n, reps, RngSpec(9))
+        w = canonical_weights(phi, n).weights
+        target = report.results["population_risk"]
+        draws = [
+            np.sqrt(n) * (w @ -np.sort(sample_from(
+                uniform01, RngSpec(9, rep + 1).generator(), n)) - target)
+            for rep in range(reps)
+        ]
+        limit = ReferenceDistribution(
+            "normal", mean=0.0, sd=float(np.sqrt(report.results["sigma2"])))
+        assert report.results["d_K"] == kolmogorov_distance(Sample(draws),
+                                                            limit)
 
 
 class TestBootstrapCheck:
