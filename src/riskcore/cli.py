@@ -18,7 +18,7 @@ import shlex
 import subprocess
 import sys
 import time
-from typing import IO, Any, Iterable, List, Optional, Sequence
+from typing import IO, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import (
     RepresentingSet,
     Sample,
     WeightVector,
-    _finite_array,
+    json_field,
     t_inverse,
     t_map,
 )
@@ -227,88 +227,31 @@ def _load_config(arg: str) -> dict:
     return obj
 
 
-def _vector_field(obj: object, key: str) -> np.ndarray:
-    if isinstance(obj, dict):
-        obj = obj.get(key)
-    if not isinstance(obj, list):
+def _json_vector(text: str, key: str) -> Tuple[np.ndarray, dict]:
+    """A vector argument, a JSON array or an object holding one as `key`:
+    its values, and the object."""
+    obj = _parse_json(text, key)
+    doc = {key: obj} if isinstance(obj, list) else obj
+    if not isinstance(doc, dict):
         raise RiskError(f"expected a JSON array (or object with {key!r})")
-    return _finite_array(obj, key)
+    return json_field(doc, key, [float], what=f"{key} JSON"), doc
 
 
-def _weights_from_json(text: str) -> WeightVector:
-    obj = _parse_json(text, "weights")
-    values = _vector_field(obj, "weights")
-    monotone = bool(np.all(np.diff(values) <= 1e-15))
-    return WeightVector(values, monotone=monotone)
-
-
-def _mixture_from_json(text: str) -> Mixture:
-    return Mixture(_vector_field(_parse_json(text, "mixture"), "mixture"))
-
-
-def _sorted_domain(obj: object) -> bool:
-    """The 'sorted_domain' field of a JSON object, true when absent; any
-    value but a JSON boolean is refused."""
-    value = obj.get("sorted_domain", True) if isinstance(obj, dict) else True
-    if not isinstance(value, bool):
-        raise RiskError(f"'sorted_domain' must be true or false, not {value!r}")
-    return value
+def _weights(values: np.ndarray) -> WeightVector:
+    return WeightVector(values, monotone=bool(np.all(np.diff(values) <= 1e-15)))
 
 
 def _repset_from_json(text: str) -> RepresentingSet:
     obj = _parse_json(text, "representing set")
-    if not isinstance(obj, dict) or "vertices" not in obj:
+    if not isinstance(obj, dict):
         raise RiskError("representing-set JSON needs a 'vertices' field")
-    return RepresentingSet(obj["vertices"], sorted_domain=_sorted_domain(obj))
+    vertices = json_field(obj, "vertices", [[float]],
+                          what="representing-set JSON")
+    sorted_domain = json_field(obj, "sorted_domain", bool, True)
+    return RepresentingSet(vertices, sorted_domain=sorted_domain)
 
 
-def _require(config: dict, key: str) -> object:
-    if key not in config:
-        raise RiskError(f"config is missing required field {key!r}")
-    return config[key]
-
-
-def _read(kind: object, value: object) -> object:
-    if isinstance(kind, list):
-        return [_read(kind[0], v) for v in value]
-    if isinstance(kind, tuple):
-        if not isinstance(value, list) or len(value) != len(kind):
-            raise TypeError(f"expected a list of {len(kind)}")
-        return tuple(_read(k, v) for k, v in zip(kind, value))
-    # only a JSON number reads as a number; bool is a subclass of int
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    out = kind(value)
-    if kind is int and out != value:
-        raise ValueError(f"{value!r} is not an integer")
-    if isinstance(out, float) and not math.isfinite(out):
-        raise ValueError(f"{out} is not finite")
-    return out
-
-
-def _field(config: dict, key: str, kind: object, default: object = ...) -> Any:
-    """The config field `key` read as kind, or default when the field is
-    absent, or null with a default of None; with no default it is
-    required. kind is int or float, [kind] for a list of them, or a tuple
-    of kinds for a list of that length. Only a JSON number reads as int or
-    float, and as int only when it is integral (2000.0 reads as 2000). A
-    value that does not read as kind, or a non-finite float, is a one-line
-    RiskError."""
-    if key not in config and default is not ...:
-        return default
-    value = _require(config, key)
-    if value is None and default is None:
-        return None
-    try:
-        return _read(kind, value)
-    except (TypeError, ValueError, OverflowError):
-        raise RiskError(
-            f"config field {key!r} has a malformed value: {value!r}"
-        ) from None
-
-
-def _class_from_config(config: dict) -> LipschitzClass:
-    spec = _require(config, "class")
+def _lipschitz_class(spec: object) -> LipschitzClass:
     if spec == "bundled":
         return bundled_lipschitz_class()
     if not isinstance(spec, list):
@@ -463,11 +406,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         value = l_estimate(canonical_weights(phi, x.n), x, sorted_domain=True)
         print(fmt(value))
     elif args.weights is not None:
-        sorted_domain = _sorted_domain(_parse_json(args.weights, "weights"))
-        a = _weights_from_json(args.weights)
-        print(fmt(l_estimate(a, x, sorted_domain=sorted_domain)))
+        values, doc = _json_vector(args.weights, "weights")
+        sorted_domain = json_field(doc, "sorted_domain", bool, True)
+        print(fmt(l_estimate(_weights(values), x, sorted_domain=sorted_domain)))
     elif args.mixture is not None:
-        mu = _mixture_from_json(args.mixture)
+        mu = Mixture(_json_vector(args.mixture, "mixture")[0])
         print(fmt(mixture_estimate(mu, x)))
     else:
         M = _repset_from_json(args.repset)
@@ -484,13 +427,13 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    a = _weights_from_json(args.weights)
+    a = _weights(_json_vector(args.weights, "weights")[0])
     _print_document(mixture=t_map(a).masses)
     return 0
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    mu = _mixture_from_json(args.mixture)
+    mu = Mixture(_json_vector(args.mixture, "mixture")[0])
     _print_document(weights=t_inverse(mu).weights, monotone=True)
     return 0
 
@@ -515,67 +458,37 @@ def cmd_variance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_exit(report, args: argparse.Namespace) -> int:
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """Run the experiment named by the subcommand on its config. Each
+    driver takes its fields in this order, then rng after the fourth; the
+    drivers are looked up on each call, so a profiler can rebind them."""
+    rng = _need_seed(args)
+    config = _load_config(args.config)
+    driver, fields = {
+        "clt": (clt_check, [
+            ("spectrum", spectrum_from_json), ("dist", distribution_from_json),
+            ("n", int), ("reps", int), ("threshold", float, 0.05),
+        ]),
+        "bootstrap": (bootstrap_check, [
+            ("spectrum", spectrum_from_json), ("dist", distribution_from_json),
+            ("n", int), ("B", int), ("threshold", float, 0.08),
+            ("grid_m", int, 100),
+        ]),
+        "consistency": (consistency_sweep, [
+            ("class", _lipschitz_class), ("dist", distribution_from_json),
+            ("n_grid", [int]), ("reps", int), ("threshold", float, None),
+            ("min_pass_fraction", float, 1.0),
+        ]),
+        "rate": (rate_experiment, [
+            ("class", _lipschitz_class), ("dist", distribution_from_json),
+            ("n_grid", [int]), ("reps", int),
+            ("slope_band", (float, float), None),
+        ]),
+    }[args.command]
+    values = [json_field(config, *field) for field in fields]
+    report = driver(*values[:4], rng, *values[4:])
     print(report.to_json(include_timing=args.timing))
     return 0 if report.passed is not False else 1
-
-
-def cmd_clt(args: argparse.Namespace) -> int:
-    rng = _need_seed(args)
-    config = _load_config(args.config)
-    report = clt_check(
-        spectrum_from_json(_require(config, "spectrum")),
-        distribution_from_json(_require(config, "dist")),
-        n=_field(config, "n", int),
-        reps=_field(config, "reps", int),
-        rng=rng,
-        threshold=_field(config, "threshold", float, 0.05),
-    )
-    return _report_exit(report, args)
-
-
-def cmd_bootstrap(args: argparse.Namespace) -> int:
-    rng = _need_seed(args)
-    config = _load_config(args.config)
-    report = bootstrap_check(
-        spectrum_from_json(_require(config, "spectrum")),
-        distribution_from_json(_require(config, "dist")),
-        n=_field(config, "n", int),
-        B=_field(config, "B", int),
-        rng=rng,
-        threshold=_field(config, "threshold", float, 0.08),
-        grid_m=_field(config, "grid_m", int, 100),
-    )
-    return _report_exit(report, args)
-
-
-def cmd_consistency(args: argparse.Namespace) -> int:
-    rng = _need_seed(args)
-    config = _load_config(args.config)
-    report = consistency_sweep(
-        _class_from_config(config),
-        distribution_from_json(_require(config, "dist")),
-        n_grid=_field(config, "n_grid", [int]),
-        reps=_field(config, "reps", int),
-        rng=rng,
-        threshold=_field(config, "threshold", float, None),
-        min_pass_fraction=_field(config, "min_pass_fraction", float, 1.0),
-    )
-    return _report_exit(report, args)
-
-
-def cmd_rate(args: argparse.Namespace) -> int:
-    rng = _need_seed(args)
-    config = _load_config(args.config)
-    report = rate_experiment(
-        _class_from_config(config),
-        distribution_from_json(_require(config, "dist")),
-        n_grid=_field(config, "n_grid", [int]),
-        reps=_field(config, "reps", int),
-        rng=rng,
-        slope_band=_field(config, "slope_band", (float, float), None),
-    )
-    return _report_exit(report, args)
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
@@ -646,12 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True)
     p.set_defaults(fn=cmd_variance)
 
-    for name, fn in (
-        ("clt", cmd_clt),
-        ("bootstrap", cmd_bootstrap),
-        ("consistency", cmd_consistency),
-        ("rate", cmd_rate),
-    ):
+    for name in ("clt", "bootstrap", "consistency", "rate"):
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON object or file path")
         p.add_argument("--seed", type=int, default=None)
@@ -659,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; ignored")
         p.add_argument("--timing", action="store_true",
                        help="include wall time in the report")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("axioms", help="randomized coherence-axiom check")
     p.add_argument("--oracle", required=True, help="oracle command line")

@@ -7,13 +7,15 @@ weighted sums of negated order statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     AlphaOutOfRange,
+    DomainError,
     EmptySet,
     LengthMismatch,
     NonFiniteInput,
@@ -29,6 +31,8 @@ ENTRY_SLACK = 1e-15
 MONOTONE_SLACK = 1e-15
 #: n * alpha within this many ulps of an integer k is read as k
 LEVEL_ULPS = 4
+#: characters of a malformed JSON value a diagnostic repeats
+SHOWN_CHARS = 80
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -50,6 +54,102 @@ def _finite_array(values: ArrayLike, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput(f"{what} contains NaN or infinite entries")
     return arr
+
+
+class _Malformed(Exception):
+    """args: a JSON value that is not of its kind, and its index path."""
+
+
+def _read(kind: object, value: object, at: tuple = ()) -> Any:
+    """value read as kind, at index path `at` inside its field."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise _Malformed(value, at)
+        if kind[0] is float:
+            return _float_array(value, at)
+        return [_read(kind[0], v, (*at, i)) for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if not isinstance(value, list) or len(value) != len(kind):
+            raise _Malformed(value, at)
+        return tuple(_read(k, v, (*at, i))
+                     for i, (k, v) in enumerate(zip(kind, value)))
+    if kind not in (bool, int, float):
+        return kind(value)  # a builder, whose own errors pass through
+    # bool is a subclass of int: a flag reads a JSON boolean only, and a
+    # number a JSON number only
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            out = kind(value)
+        except (ValueError, OverflowError):  # int() of a NaN or an infinity
+            raise _Malformed(value, at) from None
+        if (out == value) if kind is int else math.isfinite(out):
+            return out
+    raise _Malformed(value, at)
+
+
+def _float_array(values: list, at: tuple) -> np.ndarray:
+    """A list of JSON numbers as a finite float array: one type scan and one
+    conversion, and an entry-by-entry read only to name a bad entry."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            arr = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            arr = np.array([np.inf])
+        if np.isfinite(arr).all():
+            return arr
+    return np.array([_read(float, v, (*at, i)) for i, v in enumerate(values)])
+
+
+def json_field(
+    obj: dict, key: str, kind: object, default: object = ...,
+    what: str = "config",
+) -> Any:
+    """The field `key` of the JSON object `obj` (a `what`) read as kind:
+    int, float or bool; [kind], a list of them ([float] gives a float
+    array); a tuple of kinds, a list of that length; or a builder, called
+    on the value, whose own errors pass through. Only a JSON number reads
+    as int (integral: 2000.0 reads as 2000) or float (finite), only a JSON
+    boolean as bool; anything else is a one-line DomainError that names the
+    field and the index of the first bad entry of a list. An absent field,
+    or a null one with a default of None, reads as the default; with no
+    default the field is required."""
+    if key not in obj:
+        if default is ...:
+            raise DomainError(f"{what} is missing required field {key!r}")
+        return default
+    value = obj[key]
+    if value is None and default is None:
+        return None
+    try:
+        return _read(kind, value)
+    except _Malformed as bad:
+        bad_value, at = bad.args
+        if kind is bool:
+            message = f"{key!r} must be true or false, not {_shown(bad_value)}"
+        else:
+            at = "".join(f"[{i}]" for i in at)
+            message = (f"{what} field {key!r}{at} has a malformed value: "
+                       f"{_shown(bad_value)}")
+        raise DomainError(message) from None
+
+
+def _shown(value: object) -> str:
+    text = repr(value)
+    return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS - 3] + "..."
+
+
+def json_type(obj: object, kinds: dict, what: str) -> str:
+    """The 'type' field of the JSON object `obj` (a `what`), which must be
+    a key of kinds."""
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise DomainError(f"{what} JSON must be an object with a 'type' field")
+    kind = obj["type"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise DomainError(f"unknown {what} type {_shown(kind)}")
+    return kind
 
 
 def simplex_array(values: ArrayLike, what: str = "weights") -> np.ndarray:

@@ -140,11 +140,18 @@ class ExperimentReport:
         return json.dumps(self.to_dict(include_timing=include_timing))
 
 
+#: the largest float below 1, which 1 - U is for the smallest U > 0
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def sample_from(
     dist: ReferenceDistribution, gen: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Inverse-transform draws; 1 - U keeps the argument inside (0, 1]."""
-    return np.asarray(dist.quantile(1.0 - gen.random(n)), dtype=np.float64)
+    """Inverse-transform draws at 1 - U, which lies in (0, 1) for every
+    U > 0; U = 0 is read as the smallest U > 0, so no draw is infinite."""
+    u = 1.0 - gen.random(n)
+    np.minimum(u, BELOW_ONE, out=u)
+    return np.asarray(dist.quantile(u), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

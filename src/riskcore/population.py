@@ -14,6 +14,7 @@ from typing import Union
 
 import numpy as np
 
+from .core import json_field, json_type
 from .errors import AlphaOutOfRange, DomainError, QuadratureFailure
 from .quadrature import integrate_piecewise
 from .spectra import Spectrum
@@ -25,6 +26,15 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 TAIL_DELTA = 1e-8
 
 Floats = Union[float, np.ndarray]
+
+
+#: the parameters of each kind of law, in the order JSON reads them
+LAW_PARAMS = {
+    "uniform": ("a", "b"),
+    "normal": ("mean", "sd"),
+    "exponential": ("rate",),
+    "point_mass": ("c",),
+}
 
 
 def _phi(z: Floats) -> Floats:
@@ -52,25 +62,16 @@ class ReferenceDistribution:
             raise DomainError(f"{kind} parameters must be numbers: {params}") from None
         if not all(map(math.isfinite, params.values())):
             raise DomainError(f"{kind} parameters must be finite: {params}")
-        if kind == "uniform":
-            a, b = params["a"], params["b"]
-            if not (a < b):
-                raise DomainError(f"uniform needs a < b, got a={a}, b={b}")
-            params = {"a": a, "b": b}
-        elif kind == "normal":
-            mean, sd = params["mean"], params["sd"]
-            if not (sd > 0):
-                raise DomainError(f"normal needs sd > 0, got {sd}")
-            params = {"mean": mean, "sd": sd}
-        elif kind == "exponential":
-            rate = params["rate"]
-            if not (rate > 0):
-                raise DomainError(f"exponential needs rate > 0, got {rate}")
-            params = {"rate": rate}
-        elif kind == "point_mass":
-            params = {"c": params["c"]}
-        else:
+        if kind not in LAW_PARAMS:
             raise DomainError(f"unknown distribution kind {kind!r}")
+        params = {key: params[key] for key in LAW_PARAMS[kind]}
+        if kind == "uniform" and not params["a"] < params["b"]:
+            a, b = params["a"], params["b"]
+            raise DomainError(f"uniform needs a < b, got a={a}, b={b}")
+        if kind == "normal" and not params["sd"] > 0:
+            raise DomainError(f"normal needs sd > 0, got {params['sd']}")
+        if kind == "exponential" and not params["rate"] > 0:
+            raise DomainError(f"exponential needs rate > 0, got {params['rate']}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
         # the normal quantile comes from the standard library here: scipy
@@ -119,7 +120,9 @@ class ReferenceDistribution:
 
             out = self.params["mean"] + self.params["sd"] * ndtri(u)
         elif self.kind == "exponential":
-            out = -np.log1p(-np.minimum(u, 1.0 - 1e-17)) / self.params["rate"]
+            # u = 1 is the law's +inf, as ndtri gives it for the normal
+            with np.errstate(divide="ignore"):
+                out = -np.log1p(-u) / self.params["rate"]
         else:
             out = np.full_like(u, self.params["c"])
         return float(out) if out.ndim == 0 else out
@@ -289,21 +292,11 @@ def population_spectral_risk(dist: ReferenceDistribution, phi: Spectrum) -> floa
 
 def distribution_from_json(obj: dict) -> ReferenceDistribution:
     """Build a reference distribution from its JSON description."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise DomainError("distribution JSON must be an object with a 'type' field")
-    kind = obj["type"]
-    fields = {
-        "uniform": ("a", "b"),
-        "normal": ("mean", "sd"),
-        "exponential": ("rate",),
-        "point_mass": ("c",),
-    }
-    if kind not in fields:
-        raise DomainError(f"unknown distribution type {kind!r}")
-    try:
-        return ReferenceDistribution(kind, **{k: obj[k] for k in fields[kind]})
-    except KeyError as exc:
-        raise DomainError(f"distribution JSON missing field {exc}") from exc
+    kind = json_type(obj, LAW_PARAMS, "distribution")
+    return ReferenceDistribution(kind, **{
+        key: json_field(obj, key, float, what="distribution JSON")
+        for key in LAW_PARAMS[kind]
+    })
 
 
 def distribution_to_json(dist: ReferenceDistribution) -> dict:

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import WeightVector, ceil_level
+from .core import WeightVector, ceil_level, json_field, json_type
 from .errors import DomainError, NotMonotone, NotNormalised
 from .quadrature import DEFAULT_MAX_EVALS, _panels
 
@@ -295,34 +295,21 @@ def primitive_gap(phi: Spectrum, n: int, grid_size: int) -> float:
     return float(np.max(np.abs(step.primitive(t) - phi.primitive(t))))
 
 
+#: the builder of each JSON spectrum type, and the fields it reads
+_JSON_SPECTRA = {
+    "es": (expected_shortfall_spectrum, ("alpha", float)),
+    "uniform": (uniform_spectrum,),
+    "linear": (linear_spectrum, ("slope", float)),
+    "exponential": (exponential_spectrum, ("k", float)),
+    "piecewise_linear": (piecewise_linear_spectrum, ("knots", [(float, float)])),
+}
+
+
 def spectrum_from_json(obj: dict) -> Spectrum:
     """Build a spectrum from its JSON description."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise DomainError("spectrum JSON must be an object with a 'type' field")
-    kind = obj["type"]
-
-    def number(key: str) -> float:
-        try:
-            return float(obj[key])
-        except (TypeError, ValueError):
-            raise DomainError(
-                f"spectrum JSON field {key!r} is not a number: {obj[key]!r}"
-            ) from None
-
-    try:
-        if kind == "es":
-            return expected_shortfall_spectrum(number("alpha"))
-        if kind == "uniform":
-            return uniform_spectrum()
-        if kind == "linear":
-            return linear_spectrum(number("slope"))
-        if kind == "exponential":
-            return exponential_spectrum(number("k"))
-        if kind == "piecewise_linear":
-            return piecewise_linear_spectrum(obj["knots"])
-    except KeyError as exc:
-        raise DomainError(f"spectrum JSON missing field {exc}") from exc
-    raise DomainError(f"unknown spectrum type {kind!r}")
+    build, *fields = _JSON_SPECTRA[json_type(obj, _JSON_SPECTRA, "spectrum")]
+    return build(*(json_field(obj, key, k, what="spectrum JSON")
+                   for key, k in fields))
 
 
 def spectrum_to_json(phi: Spectrum) -> dict:

@@ -528,6 +528,8 @@ class TestErrorPaths:
          '{"type":"piecewise_linear","knots":[[0,NaN],[1,1]]}'],
         ["estimate", "--sample", "{sample}", "--repset", '{"vertices":[[1,"x"]]}'],
         ["estimate", "--sample", "{sample}", "--repset", '{"vertices":5}'],
+        ["variance", "--spectrum", LINEAR, "--dist", '{"type":{}}'],
+        ["variance", "--dist", NORMAL, "--spectrum", '{"type":["es"]}'],
     ])
     def test_malformed_json_value_is_one_line(self, capsys, three_file, argv):
         argv = [a.replace("{sample}", three_file) for a in argv]
@@ -555,6 +557,9 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "quantile range that overflows" in err
+
+
+NORMAL = '{"type":"normal","mean":0,"sd":1}'
 
 
 class TestNumericConfigFields:
@@ -586,11 +591,122 @@ class TestNumericConfigFields:
         assert code == 2 and out == ""
         assert err == f"error: config field {message}\n"
 
+    @pytest.mark.parametrize("spectrum, dist, message", [
+        pytest.param('{"type":"linear","slope":"2"}', NORMAL,
+                     "spectrum JSON field 'slope' has a malformed value: '2'",
+                     id="string-slope"),
+        pytest.param('{"type":"es","alpha":true}', NORMAL,
+                     "spectrum JSON field 'alpha' has a malformed value: True",
+                     id="boolean-alpha"),
+        pytest.param('{"type":"uniform"}', '{"type":"normal","mean":0,"sd":"1"}',
+                     "distribution JSON field 'sd' has a malformed value: '1'",
+                     id="string-sd"),
+        pytest.param('{"type":"uniform"}', '{"type":"exponential","rate":null}',
+                     "distribution JSON field 'rate' has a malformed value: None",
+                     id="null-rate"),
+    ])
+    def test_nested_fields_refused(self, capsys, spectrum, dist, message):
+        # the nested documents go through the same reader as the config
+        code, out, err = run_cli(
+            capsys, "clt", "--seed", "1", "--config",
+            '{"spectrum":%s,"dist":%s,"n":50,"reps":20}' % (spectrum, dist))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_integral_float_reads_as_int(self, capsys):
         code, out, _ = self.clt(capsys, '"n":50.0,"reps":20.0')
         assert (code, out) == self.clt(capsys, '"n":50,"reps":20')[:2]
         assert json.loads(out)["config"]["n"] == 50
         assert '"reps": 20,' in out
+
+
+class TestJsonReader:
+    """Every numeric field of every JSON input reads JSON numbers only, and
+    a refusal is one line that names the field."""
+
+    UNIFORM = '{"type":"uniform"}'
+    ENTRY_POINTS = {
+        "alpha": (["weights", "--n", "4", "--spectrum",
+                   '{"type":"es","alpha":@}'], "'alpha'"),
+        "slope": (["weights", "--n", "4", "--spectrum",
+                   '{"type":"linear","slope":@}'], "'slope'"),
+        "k": (["weights", "--n", "4", "--spectrum",
+               '{"type":"exponential","k":@}'], "'k'"),
+        "knots": (["weights", "--n", "4", "--spectrum",
+                   '{"type":"piecewise_linear","knots":[[0,2],[1,@]]}'],
+                  "'knots'[1][1]"),
+        "a": (["variance", "--spectrum", UNIFORM, "--dist",
+               '{"type":"uniform","a":@,"b":1}'], "'a'"),
+        "b": (["variance", "--spectrum", UNIFORM, "--dist",
+               '{"type":"uniform","a":0,"b":@}'], "'b'"),
+        "mean": (["variance", "--spectrum", UNIFORM, "--dist",
+                  '{"type":"normal","mean":@,"sd":1}'], "'mean'"),
+        "sd": (["variance", "--spectrum", UNIFORM, "--dist",
+                '{"type":"normal","mean":0,"sd":@}'], "'sd'"),
+        "rate": (["variance", "--spectrum", UNIFORM, "--dist",
+                  '{"type":"exponential","rate":@}'], "'rate'"),
+        "c": (["variance", "--spectrum", UNIFORM, "--dist",
+               '{"type":"point_mass","c":@}'], "'c'"),
+        "clt-spectrum": (["clt", "--seed", "1", "--config",
+                          '{"spectrum":{"type":"linear","slope":@},'
+                          '"dist":%s,"n":20,"reps":5}' % NORMAL], "'slope'"),
+        "clt-dist": (["clt", "--seed", "1", "--config",
+                      '{"spectrum":%s,"dist":{"type":"normal","mean":0,'
+                      '"sd":@},"n":20,"reps":5}' % UNIFORM], "'sd'"),
+        "weights": (["decompose", "--weights", "[0.5,@]"], "'weights'[1]"),
+        "estimate-weights": (["estimate", "--sample", "{sample}", "--weights",
+                              '{"weights":[0.5,@,0]}'], "'weights'[1]"),
+        "mixture": (["compose", "--mixture", "[@,0.5]"], "'mixture'[0]"),
+        "repset": (["estimate", "--sample", "{sample}", "--repset",
+                    '{"vertices":[[1,0,0],[0.5,0.5,@]]}'],
+                   "'vertices'[1][2]"),
+    }
+
+    @pytest.mark.parametrize("value", ['"0.5"', "true", "false", "null"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_refused_naming_the_field(self, capsys, three_file, entry, value):
+        template, field = self.ENTRY_POINTS[entry]
+        argv = [a.replace("{sample}", three_file).replace("@", value)
+                for a in template]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"field {field} has a malformed value: " in err
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_a_number_is_read(self, capsys, three_file, entry):
+        # the control: with a number in its place the value is read, though
+        # some of the documents are then refused for what they mean
+        template, _ = self.ENTRY_POINTS[entry]
+        argv = [a.replace("{sample}", three_file).replace("@", "0.5")
+                for a in template]
+        _, _, err = run_cli(capsys, *argv)
+        assert "malformed" not in err
+
+    @pytest.mark.parametrize("config", [
+        {"n_grid": [*range(1, 20001), "x"], "reps": 2},
+        {"n_grid": [10, 20], "reps": [1] * 20000},
+        {"n_grid": [10, 20], "reps": 2, "slope_band": [-0.5] * 20000},
+        {"n_grid": [10, 20], "reps": 2,
+         "class": [{"type": ["es"] * 20000}]},
+    ], ids=["bad-entry", "list-for-int", "long-pair", "long-type"])
+    def test_diagnostic_of_a_long_list_is_short(self, capsys, config):
+        config = {"class": "bundled", "dist": {"type": "uniform", "a": 0,
+                                               "b": 1}, **config}
+        code, out, err = run_cli(capsys, "rate", "--seed", "1", "--config",
+                                 json.dumps(config))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and len(err) < 200
+
+    def test_first_bad_entry_is_named(self, capsys):
+        config = {"class": "bundled", "dist": {"type": "uniform", "a": 0,
+                                               "b": 1},
+                  "n_grid": [*range(1, 20001), "x"], "reps": 2}
+        code, _, err = run_cli(capsys, "consistency", "--seed", "1",
+                               "--config", json.dumps(config))
+        assert code == 2
+        assert err == ("error: config field 'n_grid'[20000] has a malformed "
+                       "value: 'x'\n")
 
 
 class TestSortedDomain:

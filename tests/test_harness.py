@@ -386,3 +386,16 @@ class TestSampleFrom:
         xs = sample_from(std_normal, gen1, 100)
         us = 1.0 - gen2.random(100)
         assert np.array_equal(xs, np.asarray(std_normal.quantile(us)))
+
+    @pytest.mark.parametrize("law", ["std_normal", "exponential1"])
+    def test_a_zero_uniform_draw_is_finite(self, request, law):
+        # random() returns 0.0 with probability 2^-53; 1 - U would then
+        # ask for the quantile at 1, which is +inf on an unbounded law
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        dist = request.getfixturevalue(law)
+        xs = sample_from(dist, Zeros(), 3)
+        top = dist.quantile(np.nextafter(1.0, 0.0))
+        assert np.isfinite(xs).all() and (xs == top).all()

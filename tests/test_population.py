@@ -26,6 +26,11 @@ def dists(uniform01, std_normal, exponential1):
 
 
 class TestAccessors:
+    @pytest.mark.parametrize("name", ["std_normal", "exponential1"])
+    def test_quantile_at_one_is_inf_without_a_warning(self, dists, name):
+        # warnings are errors under pytest
+        assert dists[name].quantile(1.0) == np.inf
+
     @pytest.mark.parametrize("name", ALL_KINDS)
     def test_quantile_inverts_cdf(self, dists, name):
         dist = dists[name]
