@@ -5,121 +5,95 @@ discretisation, the weight/mixture bijection, robust suprema over
 representing sets, black-box weight recovery, and the asymptotic
 diagnostics (influence functions, CLT variance, Efron bootstrap,
 Kolmogorov and Wasserstein distances) behind them.
+
+The namespace is lazy: ``import riskcore`` loads no submodule, and each
+submodule loads on first use of one of its names. ``riskcore.<name>``
+looks the name up in its defining module on every access and is never
+cached here, so it is always the object that module holds now, also
+after the name was rebound there.
 """
 
-from .asymptotics import (
-    RngSpec,
-    asymptotic_variance,
-    bootstrap_distribution,
-    bootstrap_resample,
-    influence_function,
-    kolmogorov_distance,
-    truncated_kolmogorov,
-    wasserstein1,
-)
-from .core import (
-    Mixture,
-    RepresentingSet,
-    Sample,
-    SortedSample,
-    WeightVector,
-    empirical_quantile,
-    sort_sample,
-    t_inverse,
-    t_map,
-)
-from .errors import RiskError
-from .estimators import (
-    discrete_es,
-    discrete_es_profile,
-    kusuoka_plugin,
-    l_estimate,
-    l_estimator_oracle,
-    mixture_estimate,
-    recover_comonotonic_weights,
-    robust_sup,
-)
-from .harness import (
-    ExperimentReport,
-    LipschitzClass,
-    bootstrap_check,
-    bundled_lipschitz_class,
-    check_axioms,
-    clt_check,
-    consistency_sweep,
-    rate_experiment,
-)
-from .population import (
-    ReferenceDistribution,
-    distribution_from_json,
-    population_es,
-    population_spectral_risk,
-)
-from .spectra import (
-    Spectrum,
-    StepSpectrum,
-    canonical_weights,
-    expected_shortfall_spectrum,
-    exponential_spectrum,
-    linear_spectrum,
-    piecewise_linear_spectrum,
-    primitive_gap,
-    spectrum_from_json,
-    step_spectrum,
-    uniform_spectrum,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RngSpec",
-    "asymptotic_variance",
-    "bootstrap_distribution",
-    "bootstrap_resample",
-    "influence_function",
-    "kolmogorov_distance",
-    "truncated_kolmogorov",
-    "wasserstein1",
-    "Mixture",
-    "RepresentingSet",
-    "Sample",
-    "SortedSample",
-    "WeightVector",
-    "empirical_quantile",
-    "sort_sample",
-    "t_inverse",
-    "t_map",
-    "RiskError",
-    "discrete_es",
-    "discrete_es_profile",
-    "kusuoka_plugin",
-    "l_estimate",
-    "l_estimator_oracle",
-    "mixture_estimate",
-    "recover_comonotonic_weights",
-    "robust_sup",
-    "ExperimentReport",
-    "LipschitzClass",
-    "bootstrap_check",
-    "bundled_lipschitz_class",
-    "check_axioms",
-    "clt_check",
-    "consistency_sweep",
-    "rate_experiment",
-    "ReferenceDistribution",
-    "distribution_from_json",
-    "population_es",
-    "population_spectral_risk",
-    "Spectrum",
-    "StepSpectrum",
-    "canonical_weights",
-    "expected_shortfall_spectrum",
-    "exponential_spectrum",
-    "linear_spectrum",
-    "piecewise_linear_spectrum",
-    "primitive_gap",
-    "spectrum_from_json",
-    "step_spectrum",
-    "uniform_spectrum",
-    "__version__",
-]
+#: the public names each submodule defines
+_EXPORTS = {
+    "asymptotics": (
+        "RngSpec",
+        "asymptotic_variance",
+        "bootstrap_distribution",
+        "bootstrap_resample",
+        "influence_function",
+        "kolmogorov_distance",
+        "truncated_kolmogorov",
+        "wasserstein1",
+    ),
+    "core": (
+        "Mixture",
+        "RepresentingSet",
+        "Sample",
+        "SortedSample",
+        "WeightVector",
+        "empirical_quantile",
+        "sort_sample",
+        "t_inverse",
+        "t_map",
+    ),
+    "errors": ("RiskError",),
+    "estimators": (
+        "discrete_es",
+        "discrete_es_profile",
+        "kusuoka_plugin",
+        "l_estimate",
+        "l_estimator_oracle",
+        "mixture_estimate",
+        "recover_comonotonic_weights",
+        "robust_sup",
+    ),
+    "harness": (
+        "ExperimentReport",
+        "LipschitzClass",
+        "bootstrap_check",
+        "bundled_lipschitz_class",
+        "check_axioms",
+        "clt_check",
+        "consistency_sweep",
+        "rate_experiment",
+    ),
+    "population": (
+        "ReferenceDistribution",
+        "distribution_from_json",
+        "population_es",
+        "population_spectral_risk",
+    ),
+    "spectra": (
+        "Spectrum",
+        "StepSpectrum",
+        "canonical_weights",
+        "expected_shortfall_spectrum",
+        "exponential_spectrum",
+        "linear_spectrum",
+        "piecewise_linear_spectrum",
+        "primitive_gap",
+        "spectrum_from_json",
+        "step_spectrum",
+        "uniform_spectrum",
+    ),
+}
+
+#: the defining submodule of each public name
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_HOME})

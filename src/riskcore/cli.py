@@ -13,17 +13,14 @@ import functools
 import json
 import math
 import os
-import select
-import shlex
-import subprocess
 import sys
 import time
-from typing import IO, Iterable, List, Optional, Sequence, Tuple
+from typing import IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .asymptotics import RngSpec, asymptotic_variance
 from .core import (
+    SCHEMA,
     Mixture,
     RepresentingSet,
     Sample,
@@ -40,18 +37,12 @@ from .estimators import (
     recover_comonotonic_weights,
     robust_sup,
 )
-from .harness import (
-    SCHEMA,
-    LipschitzClass,
-    bootstrap_check,
-    bundled_lipschitz_class,
-    check_axioms,
-    clt_check,
-    consistency_sweep,
-    rate_experiment,
-)
-from .population import distribution_from_json
-from .spectra import canonical_weights, spectrum_from_json
+
+# every other module is imported by the subcommand that runs it, so a cold
+# call loads only what it uses
+if TYPE_CHECKING:
+    from .asymptotics import RngSpec
+    from .harness import LipschitzClass
 
 #: seconds an oracle process may take over each reply
 ORACLE_TIMEOUT_S = 60.0
@@ -252,6 +243,9 @@ def _repset_from_json(text: str) -> RepresentingSet:
 
 
 def _lipschitz_class(spec: object) -> LipschitzClass:
+    from .harness import LipschitzClass, bundled_lipschitz_class
+    from .spectra import spectrum_from_json
+
     if spec == "bundled":
         return bundled_lipschitz_class()
     if not isinstance(spec, list):
@@ -269,6 +263,9 @@ class SubprocessOracle:
     over any one reply is killed and reported as an OracleFailure."""
 
     def __init__(self, command: str):
+        import shlex
+        import subprocess
+
         argv = shlex.split(command)
         if not argv:
             raise RiskError("empty oracle command")
@@ -300,6 +297,8 @@ class SubprocessOracle:
         the pipe. A row holding a non-finite value is refused with a
         RiskError; the rows before it are still answered, so the oracle's
         replies stay in step with later requests."""
+        import select
+
         rows = iter(rows)
         replies: List[float] = []
         unsent = bytearray()
@@ -371,6 +370,8 @@ class SubprocessOracle:
         self._pending = buf[start:]
 
     def close(self) -> None:
+        import subprocess
+
         try:
             self.proc.stdin.close()
         except OSError:
@@ -390,6 +391,8 @@ class SubprocessOracle:
 
 
 def _need_seed(args: argparse.Namespace) -> RngSpec:
+    from .asymptotics import RngSpec
+
     if args.seed is None:
         raise RiskError("this subcommand is stochastic; --seed is required")
     return RngSpec(int(args.seed))
@@ -402,6 +405,8 @@ def _need_seed(args: argparse.Namespace) -> RngSpec:
 def cmd_estimate(args: argparse.Namespace) -> int:
     x = read_sample(args.sample)
     if args.spectrum is not None:
+        from .spectra import canonical_weights, spectrum_from_json
+
         phi = spectrum_from_json(_parse_json(args.spectrum, "spectrum"))
         value = l_estimate(canonical_weights(phi, x.n), x, sorted_domain=True)
         print(fmt(value))
@@ -420,6 +425,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
+    from .spectra import canonical_weights, spectrum_from_json
+
     phi = spectrum_from_json(_parse_json(args.spectrum, "spectrum"))
     a = canonical_weights(phi, args.n)
     _print_document(n=args.n, weights=a.weights)
@@ -452,6 +459,10 @@ def cmd_es(args: argparse.Namespace) -> int:
 
 
 def cmd_variance(args: argparse.Namespace) -> int:
+    from .asymptotics import asymptotic_variance
+    from .population import distribution_from_json
+    from .spectra import spectrum_from_json
+
     phi = spectrum_from_json(_parse_json(args.spectrum, "spectrum"))
     dist = distribution_from_json(_parse_json(args.dist, "distribution"))
     print(fmt(asymptotic_variance(phi, dist)))
@@ -461,7 +472,16 @@ def cmd_variance(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Run the experiment named by the subcommand on its config. Each
     driver takes its fields in this order, then rng after the fourth; the
-    drivers are looked up on each call, so a profiler can rebind them."""
+    drivers are imported on each call, so a profiler can rebind them."""
+    from .harness import (
+        bootstrap_check,
+        clt_check,
+        consistency_sweep,
+        rate_experiment,
+    )
+    from .population import distribution_from_json
+    from .spectra import spectrum_from_json
+
     rng = _need_seed(args)
     config = _load_config(args.config)
     driver, fields = {
@@ -492,6 +512,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_axioms(args: argparse.Namespace) -> int:
+    from .harness import check_axioms
+
     rng = _need_seed(args)
     with SubprocessOracle(args.oracle) as oracle:
         report = check_axioms(

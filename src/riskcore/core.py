@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .errors import (
     NotNormalised,
 )
 
+#: the schema tag of every JSON document riskcore writes
+SCHEMA = "riskcore/1"
 #: tolerance on |sum - 1| for simplex membership
 SUM_TOL = 1e-12
 #: entrywise nonnegativity slack (float dust from linear maps)
@@ -42,11 +44,23 @@ def _as_readonly(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _finite_array(values: ArrayLike, what: str) -> np.ndarray:
+def number_array(values: object) -> Optional[np.ndarray]:
+    """values as a new float64 array, or None when numpy holds them as
+    anything but integers or floats: strings (numeric ones too), booleans,
+    objects, complex numbers, or a ragged nest. One dtype check, so an
+    array of numbers is never passed over entry by entry."""
     try:
-        arr = np.asarray(values, dtype=np.float64).copy()
+        arr = np.asarray(values)
     except (TypeError, ValueError, OverflowError):
-        raise NonFiniteInput(f"{what} must be an array of numbers") from None
+        return None
+    # dtype kinds: signed and unsigned integers, floats
+    return arr.astype(np.float64) if arr.dtype.kind in "iuf" else None
+
+
+def _finite_array(values: ArrayLike, what: str) -> np.ndarray:
+    arr = number_array(values)
+    if arr is None:
+        raise DomainError(f"{what} must be an array of numbers")
     if arr.ndim != 1:
         raise NonFiniteInput(f"{what} must be one-dimensional")
     if arr.size < 1:

@@ -20,7 +20,7 @@ from .asymptotics import (
     kolmogorov_distance,
     truncated_kolmogorov,
 )
-from .core import RepresentingSet, Sample, ceil_level
+from .core import SCHEMA, RepresentingSet, Sample, ceil_level
 from .errors import (
     DegenerateFit,
     DegenerateVariance,
@@ -46,8 +46,6 @@ from .spectra import (
     spectrum_to_json,
     uniform_spectrum,
 )
-
-SCHEMA = "riskcore/1"
 
 #: axiom-check tolerance is AXIOM_TOL * (1 + input scale)
 AXIOM_TOL = 1e-9

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import json_field, json_type
+from .core import json_field, json_type, number_array
 from .errors import AlphaOutOfRange, DomainError, QuadratureFailure
 from .quadrature import integrate_piecewise
 from .spectra import Spectrum
@@ -56,10 +56,12 @@ class ReferenceDistribution:
     params: dict
 
     def __init__(self, kind: str, **params: float):
-        try:
-            params = {key: float(value) for key, value in params.items()}
-        except (TypeError, ValueError):
-            raise DomainError(f"{kind} parameters must be numbers: {params}") from None
+        # each value read on its own: beside a number, numpy reads a
+        # boolean as that kind of number
+        values = [number_array(value) for value in params.values()]
+        if not all(v is not None and v.ndim == 0 for v in values):
+            raise DomainError(f"{kind} parameters must be numbers: {params}")
+        params = dict(zip(params, map(float, values)))
         if not all(map(math.isfinite, params.values())):
             raise DomainError(f"{kind} parameters must be finite: {params}")
         if kind not in LAW_PARAMS:

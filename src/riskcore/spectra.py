@@ -6,14 +6,14 @@ the step-function view of a weight vector.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import WeightVector, ceil_level, json_field, json_type
+from .core import WeightVector, ceil_level, json_field, json_type, number_array
 from .errors import DomainError, NotMonotone, NotNormalised
-from .quadrature import DEFAULT_MAX_EVALS, _panels
 
 #: grid resolution used to validate (S1)-(S3) at construction
 VALIDATION_GRID = 10_000
@@ -97,6 +97,10 @@ class Spectrum:
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def _primitive_by_quadrature(self, arr: np.ndarray) -> np.ndarray:
+        # imported here: only custom densities integrate, and the built-in
+        # kinds are built on cold calls that need no integrator
+        from .quadrature import DEFAULT_MAX_EVALS, _panels
+
         # one adaptive partition of [0, max t], cut at every requested t
         # and every breakpoint; Phi(t) is the running sum up to t's cut.
         # Each cut needs a panel of its own, so the budget grows with them.
@@ -158,16 +162,19 @@ def exponential_spectrum(k: float) -> Spectrum:
     if not (k > 0.0 and math.isfinite(k)):
         raise DomainError(f"exponential spectrum needs k > 0, got {k}")
     k = float(k)
-    norm = 1.0 - math.exp(-k)
-    if norm <= 0.0:
+    # a subnormal k carries too few digits for k * t and k / norm
+    if k < sys.float_info.min:
         raise DomainError(f"exponential spectrum k={k} is too small to normalise")
+    # expm1 keeps every digit of 1 - exp(-x) for small x, where the
+    # difference would cancel
+    norm = -math.expm1(-k)
     return Spectrum(
         kind="exponential",
         params={"k": k},
         bound=k / norm,
         lipschitz=k * k / norm,
         density=lambda u: k * np.exp(-k * u) / norm,
-        primitive=lambda t: (1.0 - np.exp(-k * np.asarray(t, dtype=np.float64)))
+        primitive=lambda t: -np.expm1(-k * np.asarray(t, dtype=np.float64))
         / norm,
     )
 
@@ -178,10 +185,9 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
     Values must be nonnegative and non-increasing; masses within 1e-12 of
     1 are renormalised exactly, anything further off is rejected.
     """
-    try:
-        pts = np.asarray(knots, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("piecewise_linear knots must be numbers") from None
+    pts = number_array(knots)
+    if pts is None:
+        raise DomainError("piecewise_linear knots must be numbers")
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise DomainError("piecewise_linear spectrum needs [[t, v], ...] knots")
     if not np.isfinite(pts).all():

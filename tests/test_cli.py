@@ -74,6 +74,24 @@ class TestScalarCommands:
         assert code == 0
         assert float(out.strip()) == pytest.approx(1 / 12, abs=1e-6)
 
+    def test_variance_of_a_nearly_flat_exponential_spectrum(self, capsys):
+        # at k = 1e-12 the spectrum is 1 to 12 digits, and the term of
+        # sigma^2 linear in k vanishes on the uniform law, so the figure is
+        # the flat spectrum's. That one lies 1.2e-11 relative below 1/12:
+        # the variance integral stops at VARIANCE_DELTA from 0 and 1.
+        def variance(spectrum):
+            code, out, err = run_cli(
+                capsys, "variance", "--spectrum", spectrum,
+                "--dist", '{"type":"uniform","a":0,"b":1}',
+            )
+            assert code == 0, err
+            return float(out)
+
+        flat = variance('{"type":"uniform"}')
+        nearly_flat = variance('{"type":"exponential","k":1e-12}')
+        assert nearly_flat == pytest.approx(flat, rel=1e-12, abs=0)
+        assert nearly_flat == pytest.approx(1 / 12, rel=1e-10, abs=0)
+
 
 class TestEstimate:
     def test_spectrum_plugin(self, capsys, three_file):
@@ -127,6 +145,16 @@ class TestWeightAlgebra:
         )
         doc = json.loads(out)
         assert np.allclose(doc["weights"], [1 / 3] * 3, atol=1e-15)
+
+    def test_weights_of_a_nearly_flat_exponential_spectrum(self, capsys):
+        code, out, err = run_cli(
+            capsys, "weights", "--spectrum", '{"type":"exponential","k":1e-12}',
+            "--n", "3",
+        )
+        assert code == 0, err
+        weights = json.loads(out)["weights"]
+        assert weights == sorted(weights, reverse=True)
+        assert np.allclose(weights, [1 / 3] * 3, rtol=1e-12, atol=0)
 
     def test_decompose_compose_round_trip(self, capsys):
         weights = "[0.5, 0.3333333333333333, 0.16666666666666666]"
@@ -934,15 +962,52 @@ class TestConsoleEntry:
                 b"error: sample line 3 is not a number: '\\udcff\\udcfe'\n"
             )
 
-    def test_cli_import_leaves_scipy_out(self):
-        # scipy.special is most of the cold start; only normal laws need it
+    # a cold call loads the riskcore modules its subcommand runs and no
+    # other: compiling and building the rest is most of riskcore's share of
+    # a cold start. scipy.special, which only normal laws need, costs more
+    # than all of them.
+    CHEAP = {"cli", "core", "errors", "estimators"}
+
+    @pytest.mark.parametrize("argv,modules,oracle", [
+        (None, set(), False),
+        (["es", "--sample", "{sample}", "--k", "2"], CHEAP, False),
+        (["decompose", "--weights", "[0.5,0.3,0.2]"], CHEAP, False),
+        (["compose", "--mixture", "[0.5,0.3,0.2]"], CHEAP, False),
+        (["estimate", "--sample", "{sample}", "--weights", "[0.5,0.3,0.2]"],
+         CHEAP, False),
+        (["estimate", "--sample", "{sample}", "--mixture", "[0.5,0.3,0.2]"],
+         CHEAP, False),
+        (["estimate", "--sample", "{sample}", "--repset",
+          '{"vertices":[[0.5,0.3,0.2]]}'], CHEAP, False),
+        (["weights", "--spectrum", '{"type":"exponential","k":2}', "--n", "5"],
+         CHEAP | {"spectra"}, False),
+        (["estimate", "--sample", "{sample}", "--spectrum", '{"type":"uniform"}'],
+         CHEAP | {"spectra"}, False),
+        (["recover", "--oracle", DES_ORACLE, "--n", "4"], CHEAP, True),
+    ], ids=["import", "es", "decompose", "compose", "estimate-weights",
+            "estimate-mixture", "estimate-repset", "weights",
+            "estimate-spectrum", "recover"])
+    def test_cold_call_loads_only_its_modules(self, three_file, argv, modules,
+                                              oracle):
+        if argv is None:
+            run = "import riskcore"
+        else:
+            argv = [a.replace("{sample}", three_file) for a in argv]
+            run = "from riskcore.cli import main; assert main(sys.argv[1:]) == 0"
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, riskcore.cli; print('scipy' in sys.modules)"],
+             f"import sys; {run}; print(*sys.modules, file=sys.stderr)",
+             *(argv or [])],
             capture_output=True, text=True, timeout=60,
         )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "False"
+        assert out.returncode == 0, out.stderr
+        loaded = set(out.stderr.split())
+        assert {m for m in loaded if m.startswith("riskcore.")} == {
+            "riskcore." + m for m in modules}
+        assert "riskcore" in loaded
+        assert ("subprocess" in loaded) is oracle
+        assert ("select" in loaded) is oracle
+        assert not any(m.split(".")[0] == "scipy" for m in loaded)
 
 
 class TestParser:

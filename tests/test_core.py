@@ -17,6 +17,7 @@ from riskcore import (
 from riskcore.core import RepresentingSet, simplex_array
 from riskcore.errors import (
     AlphaOutOfRange,
+    DomainError,
     EmptySet,
     NonFiniteInput,
     NotMonotone,
@@ -121,6 +122,25 @@ class TestWeightVector:
     def test_simplex_array_rejects_nan(self):
         with pytest.raises(NonFiniteInput):
             simplex_array([float("nan"), 1.0])
+
+    @pytest.mark.parametrize("build", [WeightVector, Mixture, Sample])
+    @pytest.mark.parametrize("values", [
+        ["0.5", "0.5"], [True], [True, False], np.array([1, 0], dtype=bool),
+        [0.5, "0.5"], [1.0, None], [1 + 0j], [[0.5], [0.2, 0.3]],
+    ])
+    def test_non_numbers_are_refused(self, build, values):
+        # numeric strings and booleans converted to floats before
+        with pytest.raises(DomainError, match="must be an array of numbers$"):
+            build(values)
+
+    @pytest.mark.parametrize("values", [
+        [1, 0], np.array([0.25, 0.75], dtype=np.float32),
+        np.array([1, 0], dtype=np.uint8), (0.5, 0.5),
+    ])
+    def test_integer_and_float_dtypes_are_read(self, values):
+        w = WeightVector(values)
+        assert w.weights.dtype == np.float64
+        assert w.weights.tolist() == np.asarray(values, dtype=float).tolist()
 
 
 class TestRepresentingSet:

@@ -90,6 +90,26 @@ class TestAccessors:
         with pytest.raises(DomainError):
             ReferenceDistribution("exponential", rate=-2.0)
 
+    @pytest.mark.parametrize("kind,params", [
+        ("normal", {"mean": "0", "sd": True}),
+        ("normal", {"mean": 0.0, "sd": True}),
+        ("uniform", {"a": False, "b": 1.0}),
+        ("exponential", {"rate": "2"}),
+        ("exponential", {"rate": np.bool_(True)}),
+        ("point_mass", {"c": None}),
+        ("point_mass", {"c": [3.0]}),
+    ])
+    def test_parameters_that_are_not_numbers_are_refused(self, kind, params):
+        # numeric strings and booleans converted to floats before
+        with pytest.raises(DomainError, match="parameters must be numbers"):
+            ReferenceDistribution(kind, **params)
+
+    def test_numpy_scalar_parameters_are_read(self):
+        law = ReferenceDistribution("normal", mean=np.int32(1),
+                                    sd=np.float32(0.5))
+        assert law.params == {"mean": 1.0, "sd": 0.5}
+        assert all(type(v) is float for v in law.params.values())
+
 
 class TestPopulationEs:
     def test_uniform_half(self, uniform01):

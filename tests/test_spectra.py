@@ -1,5 +1,7 @@
 """Spectra, primitives, canonical weights, and step reconstructions."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -65,6 +67,22 @@ class TestPrimitive:
         phi = exponential_spectrum(5.0)
         assert phi.primitive(0.0) == 0.0
         assert abs(phi.primitive(1.0) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("k", [1e-12, 0.5, 1.0, 2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("n", [3, 250])
+    def test_exponential_weights_match_mpmath(self, k, n):
+        # 1 - exp(-x) cancels for small x: at k = 1e-12 it kept a few
+        # digits, and the weights were off by 1e-4 and not monotone
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        grid = np.arange(n + 1, dtype=np.float64) / n
+        norm = -mp.expm1(-mp.mpf(k))
+        primitive = [-mp.expm1(-mp.mpf(k) * mp.mpf(t)) / norm
+                     for t in grid.tolist()]
+        exact = np.array([float(b - a) for a, b in
+                          zip(primitive, primitive[1:])])
+        got = canonical_weights(exponential_spectrum(k), n).weights
+        assert np.max(np.abs(got - exact)) <= 4 * np.finfo(float).eps
 
     def test_primitive_domain(self):
         with pytest.raises(DomainError):
@@ -227,6 +245,16 @@ class TestPiecewiseLinear:
         with pytest.raises(DomainError, match="knots must be finite"):
             piecewise_linear_spectrum(knots)
 
+    @pytest.mark.parametrize("knots", [
+        [[0, "2"], [1, "0"]],
+        [[False, True], [True, True]],
+        [[0.0, 1.0], [1.0, None]],
+        [[0.0, 1.0], [1.0]],
+    ])
+    def test_rejects_knots_that_are_not_numbers(self, knots):
+        with pytest.raises(DomainError, match="knots must be numbers$"):
+            piecewise_linear_spectrum(knots)
+
 
 class TestQuadratureFallback:
     def _custom_linear(self):
@@ -281,6 +309,10 @@ class TestValidation:
     def test_exponential_k_validated(self):
         with pytest.raises(DomainError):
             exponential_spectrum(-1.0)
+        # a subnormal k has too few digits to normalise with
+        with pytest.raises(DomainError, match="too small to normalise"):
+            exponential_spectrum(1e-320)
+        assert exponential_spectrum(sys.float_info.min).primitive(1.0) == 1.0
 
     def test_linear_slope_validated(self):
         with pytest.raises(DomainError):
