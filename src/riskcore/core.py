@@ -47,14 +47,21 @@ def _as_readonly(values: np.ndarray) -> np.ndarray:
 def number_array(values: object) -> Optional[np.ndarray]:
     """values as a new float64 array, or None when numpy holds them as
     anything but integers or floats: strings (numeric ones too), booleans,
-    objects, complex numbers, or a ragged nest. One dtype check, so an
-    array of numbers is never passed over entry by entry."""
+    objects, complex numbers, or a ragged nest. An ndarray is judged by its
+    dtype alone; a nest of lists also by the types of its entries, as numpy
+    reads [True, 0.5] as floats."""
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError, OverflowError):
         return None
     # dtype kinds: signed and unsigned integers, floats
-    return arr.astype(np.float64) if arr.dtype.kind in "iuf" else None
+    if arr.dtype.kind not in "iuf":
+        return None
+    if not isinstance(values, np.ndarray) and {bool, np.bool_} & set(
+        map(type, np.asarray(values, dtype=object).flat)
+    ):
+        return None
+    return arr.astype(np.float64)
 
 
 def _finite_array(values: ArrayLike, what: str) -> np.ndarray:

@@ -351,8 +351,9 @@ def _class_errors(
     n_grid: Sequence[int],
     reps: int,
     rng: RngSpec,
-) -> List[np.ndarray]:
-    """Per n: the vector over reps of the worst error across the class."""
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Per n: the vector over reps of the worst error across the class;
+    and the members' population risks the errors are measured from."""
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     targets = np.array(
@@ -370,7 +371,7 @@ def _class_errors(
 
         estimates = indexed_map(draw, reps, weights)
         per_n.append(np.max(np.abs(estimates - targets), axis=1))
-    return per_n
+    return per_n, targets
 
 
 def consistency_sweep(
@@ -390,7 +391,7 @@ def consistency_sweep(
     if list(n_grid) != sorted(n_grid) or len(n_grid) < 1:
         raise DomainError("n_grid must be a non-empty increasing sequence")
     started = time.perf_counter()
-    per_n = _class_errors(cls, dist, n_grid, reps, rng)
+    per_n, _ = _class_errors(cls, dist, n_grid, reps, rng)
     rows = [
         {
             "n": int(n),
@@ -434,11 +435,9 @@ def rate_experiment(
     if len(n_grid) < 2:
         raise DomainError("rate fit needs at least two sample sizes")
     started = time.perf_counter()
-    per_n = _class_errors(cls, dist, n_grid, reps, rng)
+    per_n, targets = _class_errors(cls, dist, n_grid, reps, rng)
     medians = np.array([float(np.median(errs)) for errs in per_n])
-    scale = max(
-        abs(population_spectral_risk(dist, phi)) for phi in cls.members
-    )
+    scale = float(np.max(np.abs(targets)))
     if np.any(medians <= 1e-14 * (1.0 + scale)):
         raise DegenerateFit("median errors underflow; log-log fit undefined")
     slope, intercept = np.polyfit(np.log(np.asarray(n_grid, float)),

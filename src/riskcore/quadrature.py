@@ -1,12 +1,14 @@
 """Quadrature with an absolute tolerance and a hard evaluation budget.
 
 Exact primitives always take precedence; everything without one goes
-through integrate_piecewise, a globally adaptive Gauss-Kronrod G7K15
-panel integrator (QUADPACK's qk15 rule; Piessens et al. 1983). Each
-refinement round evaluates the integrand once, on a (panels, 15) node
-array, so integrands take and return numpy arrays. adaptive_simpson is
-the scalar recursive Simpson rule; the library no longer calls it, and
-it is kept as an independent scalar reference for tests.
+through one globally adaptive Gauss-Kronrod G7K15 panel partition
+(QUADPACK's qk15 rule; Piessens et al. 1983) and its two entry points:
+integrate_piecewise for a definite integral over [a, b], running_integral
+for t -> the integral over [a, t]. Each refinement round evaluates the
+integrand once, on a (panels, 15) node array, so integrands take and
+return numpy arrays. adaptive_simpson is the scalar recursive Simpson
+rule; the library no longer calls it, and it is kept as an independent
+scalar reference for tests.
 """
 
 from __future__ import annotations
@@ -153,20 +155,20 @@ def _panels(
     breakpoints: Sequence[float],
     tol: float,
     max_evals: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Adaptive partition of [a, b] (a < b) into accepted G7K15 panels.
 
     The panels start at the pieces between a, b and the interior
     breakpoints. A panel is accepted when |K15 - G7| is within its
     width's share of tol, or within rounding of its integral of |f|, or
     when it is too narrow to bisect; every other panel is bisected and
-    the halves go to the next round. Returns (lo, hi, K15 value) of the
-    accepted panels in ascending order.
+    the halves go to the next round. Returns the starts and the K15
+    values of the accepted panels in ascending order.
     """
     cuts = np.array(sorted({a, b, *(t for t in breakpoints if a < t < b)}))
     lo, hi = cuts[:-1], cuts[1:]
     share = tol / (b - a)
-    done_lo, done_hi, done_val = [], [], []
+    done_lo, done_val = [], []
     evals = 0
     while lo.size:
         evals += _POINTS * lo.size
@@ -182,16 +184,15 @@ def _panels(
             | (mid <= lo) | (mid >= hi)
         )
         done_lo.append(lo[ok])
-        done_hi.append(hi[ok])
         done_val.append(value[ok])
         split = ~ok
         lo, hi = (
             np.concatenate([lo[split], mid[split]]),
             np.concatenate([mid[split], hi[split]]),
         )
-    lo, hi, val = map(np.concatenate, (done_lo, done_hi, done_val))
+    lo, val = np.concatenate(done_lo), np.concatenate(done_val)
     order = np.argsort(lo, kind="stable")
-    return lo[order], hi[order], val[order]
+    return lo[order], val[order]
 
 
 def integrate_piecewise(
@@ -215,4 +216,33 @@ def integrate_piecewise(
         return -integrate_piecewise(
             f, b, a, breakpoints=breakpoints, tol=tol, max_evals=max_evals
         )
-    return float(_panels(f, a, b, breakpoints, tol, max_evals)[2].sum())
+    return float(_panels(f, a, b, breakpoints, tol, max_evals)[1].sum())
+
+
+def running_integral(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+    breakpoints: Sequence[float], tol: float, max_evals: int = DEFAULT_MAX_EVALS,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> integral of the vectorised f over [a, t], for t in [a, b] (a < b).
+
+    integrate_piecewise's partition gives the running sum at each panel
+    edge, b included; any other t adds one G7K15 rule from its panel's
+    start, in one call of f for all t. Panels are accepted on the whole
+    integral (K15 - G7 misses an odd part of f about a panel's centre),
+    so a t whose value must meet tol belongs among the breakpoints.
+    """
+    starts, pieces = _panels(f, a, b, breakpoints, tol, max_evals)
+    edges = np.append(starts, b)
+    bases = np.concatenate([[0.0], np.cumsum(pieces)])
+
+    def primitive(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        j = np.searchsorted(edges, t, side="right") - 1
+        start = np.asarray(edges[j])
+        inside = t != start
+        rest = np.zeros(t.shape)
+        if inside.any():
+            rest[inside] = _gauss_kronrod(f, start[inside], t[inside])[0]
+        return bases[j] + rest
+
+    return primitive

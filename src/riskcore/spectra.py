@@ -30,8 +30,8 @@ class Spectrum:
     bound is the sup-norm C; lipschitz is the Lipschitz constant L where
     one exists (None for the expected-shortfall family, which jumps).
     breakpoints lists interior kinks/jumps so quadrature never straddles
-    them. An exact primitive is attached for every built-in kind; the
-    adaptive fallback exists for custom densities only.
+    them. An exact primitive is attached for every built-in kind; a
+    custom density without one gets quadrature's running integral.
     """
 
     kind: str
@@ -40,7 +40,7 @@ class Spectrum:
     lipschitz: Optional[float]
     breakpoints: tuple
     _density: Callable[[np.ndarray], np.ndarray]
-    _primitive: Optional[Callable[[np.ndarray], np.ndarray]]
+    _primitive: Callable[[np.ndarray], np.ndarray]
 
     def __init__(
         self,
@@ -60,6 +60,19 @@ class Spectrum:
         )
         object.__setattr__(self, "breakpoints", tuple(breakpoints))
         object.__setattr__(self, "_density", density)
+        if primitive is None:
+            def primitive(t: np.ndarray) -> np.ndarray:
+                # a custom density's running integral, cut at every t so
+                # that each value meets the tolerance; imported here, as the
+                # built-in kinds are built on cold calls with no integrator
+                from .quadrature import DEFAULT_MAX_EVALS, running_integral
+
+                cuts = np.append(t, self.breakpoints).tolist()
+                # each cut needs a panel of its own: the budget grows with them
+                return running_integral(
+                    density, 0.0, 1.0, cuts, 1e-10, DEFAULT_MAX_EVALS + 30 * t.size
+                )(t)
+
         object.__setattr__(self, "_primitive", primitive)
         self._validate()
 
@@ -90,29 +103,8 @@ class Spectrum:
         arr = np.asarray(t, dtype=np.float64)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise DomainError(f"primitive evaluated outside [0, 1]: {t}")
-        if self._primitive is not None:
-            out = self._primitive(arr)
-        else:
-            out = self._primitive_by_quadrature(arr)
+        out = self._primitive(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-    def _primitive_by_quadrature(self, arr: np.ndarray) -> np.ndarray:
-        # imported here: only custom densities integrate, and the built-in
-        # kinds are built on cold calls that need no integrator
-        from .quadrature import DEFAULT_MAX_EVALS, _panels
-
-        # one adaptive partition of [0, max t], cut at every requested t
-        # and every breakpoint; Phi(t) is the running sum up to t's cut.
-        # Each cut needs a panel of its own, so the budget grows with them.
-        ts = np.unique(arr[arr > 0.0])
-        if ts.size == 0:
-            return np.zeros(arr.shape)
-        _, hi, pieces = _panels(
-            self._density, 0.0, float(ts[-1]), [*ts, *self.breakpoints],
-            1e-10, DEFAULT_MAX_EVALS + 30 * ts.size,
-        )
-        cum = np.concatenate([[0.0], np.cumsum(pieces)])
-        return cum[np.searchsorted(hi, arr, side="right")]
 
 
 def expected_shortfall_spectrum(alpha: float) -> Spectrum:
@@ -273,7 +265,7 @@ class StepSpectrum:
 def canonical_weights(phi: Spectrum, n: int) -> WeightVector:
     """Canonical discretisation a_i = Phi(i/n) - Phi((i-1)/n).
 
-    Custom spectra difference their quadrature primitive, which
+    Custom spectra difference their running-integral primitive, which
     integrates once over all the grid's intervals.
     """
     if n < 1:

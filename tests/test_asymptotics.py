@@ -24,6 +24,7 @@ from riskcore import (
 )
 from riskcore.asymptotics import influence_table
 from riskcore.errors import DomainError
+from riskcore.quadrature import adaptive_simpson
 
 
 class TestRngSpec:
@@ -252,6 +253,38 @@ class TestInfluenceFunction:
                 direct = influence_function(phi, dist, x)
                 interp = float(np.interp(u, grid, table))
                 assert interp == pytest.approx(direct, abs=1e-5)
+
+    @pytest.mark.parametrize("dist_name,mean", [
+        ("std_normal", 0.0), ("exponential1", 1.0),
+    ])
+    def test_table_is_mean_minus_x(self, request, dist_name, mean):
+        # for phi = 1 the kernel is E[X] - x; the truncation at 1e-9 costs
+        # about 1e-9 on Exp(1)
+        dist = request.getfixturevalue(dist_name)
+        grid, table = influence_table(uniform_spectrum(), dist)
+        inner = (grid >= 1e-6) & (grid <= 1.0 - 1e-6)
+        exact = mean - dist.quantile(grid[inner])
+        assert np.max(np.abs(table[inner] - exact)) <= 1e-8
+
+    def test_tail_value_against_scalar_simpson(self, std_normal):
+        # phi(F) = 2 (1 - F) is 1 plus an odd function of x on the
+        # symmetric quantile range, which one G7K15 panel integrates
+        # exactly; a value far in the tail must still meet the tolerance
+        phi, dist = linear_spectrum(2.0), std_normal
+        lo_x, hi_x = (float(dist.quantile(u)) for u in (1e-9, 1.0 - 1e-9))
+
+        def weight(t):
+            return phi.density(float(dist.cdf(t)))
+
+        for u in (0.0001, 0.37, 0.9999):
+            x = float(dist.quantile(u))
+            below = adaptive_simpson(
+                lambda t: float(dist.cdf(t)) * weight(t), lo_x, x, tol=1e-13)
+            above = adaptive_simpson(
+                lambda t: (1.0 - float(dist.cdf(t))) * weight(t), x, hi_x,
+                tol=1e-13)
+            assert influence_function(phi, dist, x) == pytest.approx(
+                above - below, abs=1e-9)
 
 
 class TestAsymptoticVariance:

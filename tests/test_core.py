@@ -127,9 +127,10 @@ class TestWeightVector:
     @pytest.mark.parametrize("values", [
         ["0.5", "0.5"], [True], [True, False], np.array([1, 0], dtype=bool),
         [0.5, "0.5"], [1.0, None], [1 + 0j], [[0.5], [0.2, 0.3]],
+        [True, 0.0], [True, 0.5], [0.5, np.bool_(True)],
     ])
     def test_non_numbers_are_refused(self, build, values):
-        # numeric strings and booleans converted to floats before
+        # none is a list of numbers, though numpy converts several to floats
         with pytest.raises(DomainError, match="must be an array of numbers$"):
             build(values)
 

@@ -1,14 +1,33 @@
 """The G7K15 panel integrator: closed forms, limits, breakpoints, budget
-and failure semantics, and one batched integrand call per round."""
+and failure semantics, one batched integrand call per round, and the
+running integral built on the same partition."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from riskcore import expected_shortfall_spectrum
 from riskcore.errors import QuadratureFailure
-from riskcore.quadrature import adaptive_simpson, integrate_piecewise
+from riskcore.quadrature import (
+    DEFAULT_MAX_EVALS,
+    DEFAULT_TOL,
+    _panels,
+    adaptive_simpson,
+    integrate_piecewise,
+    running_integral,
+)
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "riskcore"
+
+
+def _running_at_b(f, a, b, breakpoints=(), tol=DEFAULT_TOL,
+                  max_evals=DEFAULT_MAX_EVALS):
+    """integrate_piecewise's signature, answered by the running integral."""
+    return float(running_integral(f, a, b, breakpoints, tol, max_evals)(b))
+
 
 
 class TestIntegratePiecewise:
@@ -74,20 +93,22 @@ class TestIntegratePiecewise:
         def f(x):
             return np.sin(50.0 * x)
 
-        with pytest.raises(QuadratureFailure, match="budget"):
-            integrate_piecewise(f, 0.0, 1.0, tol=1e-14, max_evals=14)
-        # the budget counts points: 15 + 30 fit in 60, the next round not
-        with pytest.raises(QuadratureFailure, match="budget"):
-            integrate_piecewise(f, 0.0, 1.0, tol=1e-14, max_evals=60)
+        for integrate in (integrate_piecewise, _running_at_b):
+            with pytest.raises(QuadratureFailure, match="budget"):
+                integrate(f, 0.0, 1.0, tol=1e-14, max_evals=14)
+            # the budget counts points: 15 + 30 fit in 60, the next round not
+            with pytest.raises(QuadratureFailure, match="budget"):
+                integrate(f, 0.0, 1.0, tol=1e-14, max_evals=60)
 
     def test_non_finite_integrand_raises(self):
         def f(x):
             return np.where(x < 0.7, 1.0, np.inf)
 
-        with pytest.raises(QuadratureFailure, match="non-finite"):
-            integrate_piecewise(f, 0.0, 1.0)
-        with pytest.raises(QuadratureFailure, match="non-finite"):
-            integrate_piecewise(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        for integrate in (integrate_piecewise, _running_at_b):
+            with pytest.raises(QuadratureFailure, match="non-finite"):
+                integrate(f, 0.0, 1.0)
+            with pytest.raises(QuadratureFailure, match="non-finite"):
+                integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
     def test_overflowing_integral_raises(self):
         # every value is finite, the integral is not
@@ -96,3 +117,81 @@ class TestIntegratePiecewise:
                 integrate_piecewise(
                     lambda x: np.full_like(x, 1e300), -1e300, 1e300
                 )
+
+
+def _kink(x):
+    return np.abs(x - 0.3)
+
+
+def _kink_primitive(t):
+    # integral of |x - 0.3| over [0, t]
+    t = np.asarray(t, dtype=np.float64)
+    return np.where(t <= 0.3, 0.3 * t - 0.5 * t * t, 0.045 + 0.5 * (t - 0.3) ** 2)
+
+
+class TestRunningIntegral:
+    CASES = [
+        # (f, its running integral from a, a, b, breakpoints)
+        (np.exp, lambda t: np.exp(t) - 1.0, 0.0, 2.0, (1.0,)),
+        (_kink, _kink_primitive, 0.0, 1.0, (0.3,)),
+    ]
+
+    @pytest.mark.parametrize("f,exact,a,b,cuts", CASES, ids=["exp", "kink"])
+    def test_closed_forms_at_random_points(self, f, exact, a, b, cuts):
+        primitive = running_integral(f, a, b, cuts, 1e-13)
+        t = a + (b - a) * np.random.default_rng(5).random((40, 3))
+        got = primitive(t)
+        assert got.shape == t.shape
+        assert np.max(np.abs(got - exact(t))) <= 1e-13
+
+    @pytest.mark.parametrize("f,exact,a,b,cuts", CASES, ids=["exp", "kink"])
+    def test_ends_and_panel_edges(self, f, exact, a, b, cuts):
+        primitive = running_integral(f, a, b, cuts, 1e-13)
+        assert primitive(a) == 0.0
+        # at every panel edge the value is the running sum of the panels
+        starts, pieces = _panels(f, a, b, cuts, 1e-13, DEFAULT_MAX_EVALS)
+        edges = np.append(starts[1:], b)
+        assert np.array_equal(primitive(edges), np.cumsum(pieces))
+        assert primitive(b) == pytest.approx(
+            integrate_piecewise(f, a, b, breakpoints=cuts, tol=1e-13), abs=1e-13
+        )
+        assert primitive(b) == pytest.approx(float(exact(b)), abs=1e-13)
+
+    def test_edges_are_not_evaluated(self):
+        points = []
+
+        def f(x):
+            points.append(x.copy())
+            return np.exp(x)
+
+        primitive = running_integral(f, 0.0, 2.0, (1.0,), 1e-13)
+        built = len(points)
+        primitive(np.array([0.0, 1.0, 2.0]))
+        assert len(points) == built
+        # one call of f for all points between edges
+        primitive(np.array([0.5, 1.5, 1.0]))
+        assert len(points) == built + 1 and points[-1].shape == (2, 15)
+
+
+def test_private_quadrature_names_stay_inside():
+    """No riskcore module but quadrature names a _-prefixed name of it."""
+    leaks = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # from .quadrature import _x, or quadrature._x after import
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").rpartition(".")[2] == "quadrature":
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = []
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "quadrature"):
+                names = [node.attr]
+            else:
+                continue
+            leaks += [f"{path.name}:{node.lineno} {name}"
+                      for name in names if name.startswith("_")]
+    assert not leaks

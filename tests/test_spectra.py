@@ -248,6 +248,7 @@ class TestPiecewiseLinear:
     @pytest.mark.parametrize("knots", [
         [[0, "2"], [1, "0"]],
         [[False, True], [True, True]],
+        [[0, True], [1, True]],
         [[0.0, 1.0], [1.0, None]],
         [[0.0, 1.0], [1.0]],
     ])
@@ -278,6 +279,21 @@ class TestQuadratureFallback:
         w = canonical_weights(self._custom_linear(), 4)
         exact = canonical_weights(linear_spectrum(2.0), 4)
         assert np.allclose(w.weights, exact.weights, atol=1e-9)
+
+    def test_primitive_of_a_density_odd_about_one_half(self):
+        # 1 + 0.9 tanh(c (1/2 - u)) is 1 plus an odd function about 1/2:
+        # one G7K15 panel on [0, 1] integrates it exactly, so a partition
+        # adapted to the whole integral alone would miss partial ones
+        c = 20.0
+        phi = Spectrum(
+            kind="tanh", params={}, bound=1.9, lipschitz=0.9 * c,
+            density=lambda u: 1.0 + 0.9 * np.tanh(c * (0.5 - u)),
+        )
+        t = np.linspace(0.0, 1.0, 21)
+        exact = t + 0.9 / c * (
+            np.log(np.cosh(0.5 * c)) - np.log(np.cosh(c * (0.5 - t)))
+        )
+        assert np.max(np.abs(phi.primitive(t) - exact)) <= 1e-12
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(QuadratureFailure):
