@@ -23,7 +23,6 @@ _EXPORTS = {
         "RngSpec",
         "asymptotic_variance",
         "bootstrap_distribution",
-        "bootstrap_resample",
         "influence_function",
         "kolmogorov_distance",
         "truncated_kolmogorov",

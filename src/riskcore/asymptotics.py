@@ -27,11 +27,16 @@ INFLUENCE_EDGE = 1e-9
 INFLUENCE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class RngSpec:
     """Counter-based RNG identity: (seed, stream_id) fully determines the
     draw sequence on every platform, so a replicate that owns its stream
-    draws the same values wherever it sits in a run."""
+    draws the same values wherever it sits in a run.
+
+    Only generator() and check_axioms read stream_id. The experiment
+    drivers and bootstrap_distribution draw from streams() at fixed
+    stream ids, so they give the same output for every stream_id.
+    """
 
     seed: int
     stream_id: int = 0
@@ -207,13 +212,6 @@ def asymptotic_variance(phi: Spectrum, dist: ReferenceDistribution) -> float:
     if total < -1e-10:
         raise NonFiniteVariance(f"variance integral came out negative: {total}")
     return max(total, 0.0)
-
-
-def bootstrap_resample(x: Sample, rng: RngSpec) -> Sample:
-    """Efron resample: n draws with replacement, indices from rng."""
-    gen = rng.generator()
-    idx = gen.integers(0, x.n, size=x.n)
-    return Sample(x.values[idx])
 
 
 def bootstrap_distribution(

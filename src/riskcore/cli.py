@@ -15,11 +15,12 @@ import math
 import os
 import sys
 import time
-from typing import IO, TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
+    MAX_SIZE,
     SCHEMA,
     Mixture,
     RepresentingSet,
@@ -159,11 +160,6 @@ def _plain_values(data: "bytes | str") -> Optional[np.ndarray]:
             return None
         start = end
     return np.concatenate(pieces) if pieces else np.empty(0)
-
-
-def write_sample(values: Sequence[float], fh: IO[str]) -> None:
-    for v in values:
-        fh.write(fmt(v) + "\n")
 
 
 #: floats of an array formatted and written at once
@@ -507,7 +503,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     }[args.command]
     values = [json_field(config, *field) for field in fields]
     report = driver(*values[:4], rng, *values[4:])
-    print(report.to_json(include_timing=args.timing))
+    print(report.to_json())
     return 0 if report.passed is not False else 1
 
 
@@ -587,8 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; ignored")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall time in the report")
         p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("axioms", help="randomized coherence-axiom check")
@@ -607,6 +601,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every --n option is a size
+        if getattr(args, "n", 0) > MAX_SIZE:
+            raise RiskError(f"--n exceeds the size ceiling {MAX_SIZE}: {args.n}")
         # an overflow surfaces as a non-finite result, which fmt rejects
         with np.errstate(over="ignore"):
             return args.fn(args)

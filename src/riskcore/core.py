@@ -8,7 +8,6 @@ weighted sums of negated order statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -35,6 +34,10 @@ MONOTONE_SLACK = 1e-15
 LEVEL_ULPS = 4
 #: characters of a malformed JSON value a diagnostic repeats
 SHOWN_CHARS = 80
+#: the largest size riskcore takes in: a sample size, a replicate count or
+#: a grid size. At 2^31 - 1 a product of two sizes fits an int64 and every
+#: level k <= n is exact in float64; a float64 array this long is 16 GiB.
+MAX_SIZE = 2**31 - 1
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -78,7 +81,8 @@ def _finite_array(values: ArrayLike, what: str) -> np.ndarray:
 
 
 class _Malformed(Exception):
-    """args: a JSON value that is not of its kind, and its index path."""
+    """args: a JSON value that is not of its kind, its index path, and
+    optionally what is wrong with it."""
 
 
 def _read(kind: object, value: object, at: tuple = ()) -> Any:
@@ -106,6 +110,8 @@ def _read(kind: object, value: object, at: tuple = ()) -> Any:
             out = kind(value)
         except (ValueError, OverflowError):  # int() of a NaN or an infinity
             raise _Malformed(value, at) from None
+        if kind is int and out == value and out > MAX_SIZE:
+            raise _Malformed(value, at, f"exceeds the size ceiling {MAX_SIZE}")
         if (out == value) if kind is int else math.isfinite(out):
             return out
     raise _Malformed(value, at)
@@ -132,11 +138,11 @@ def json_field(
     int, float or bool; [kind], a list of them ([float] gives a float
     array); a tuple of kinds, a list of that length; or a builder, called
     on the value, whose own errors pass through. Only a JSON number reads
-    as int (integral: 2000.0 reads as 2000) or float (finite), only a JSON
-    boolean as bool; anything else is a one-line DomainError that names the
-    field and the index of the first bad entry of a list. An absent field,
-    or a null one with a default of None, reads as the default; with no
-    default the field is required."""
+    as int (integral and at most MAX_SIZE: 2000.0 reads as 2000) or float
+    (finite), only a JSON boolean as bool; anything else is a one-line
+    DomainError that names the field and the index of the first bad entry
+    of a list. An absent field, or a null one with a default of None,
+    reads as the default; with no default the field is required."""
     if key not in obj:
         if default is ...:
             raise DomainError(f"{what} is missing required field {key!r}")
@@ -147,12 +153,13 @@ def json_field(
     try:
         return _read(kind, value)
     except _Malformed as bad:
-        bad_value, at = bad.args
+        bad_value, at, *problem = bad.args
         if kind is bool:
             message = f"{key!r} must be true or false, not {_shown(bad_value)}"
         else:
             at = "".join(f"[{i}]" for i in at)
-            message = (f"{what} field {key!r}{at} has a malformed value: "
+            problem = problem[0] if problem else "has a malformed value"
+            message = (f"{what} field {key!r}{at} {problem}: "
                        f"{_shown(bad_value)}")
         raise DomainError(message) from None
 
@@ -191,16 +198,11 @@ def simplex_array(values: ArrayLike, what: str = "weights") -> np.ndarray:
     return _as_readonly(arr / total)
 
 
-@dataclass(frozen=True)
 class Sample:
     """A finite sequence of P&L values."""
 
-    values: np.ndarray
-
     def __init__(self, values: ArrayLike):
-        object.__setattr__(
-            self, "values", _as_readonly(_finite_array(values, "sample"))
-        )
+        self.values = _as_readonly(_finite_array(values, "sample"))
 
     @property
     def n(self) -> int:
@@ -210,16 +212,12 @@ class Sample:
         return self.n
 
 
-@dataclass(frozen=True)
 class SortedSample:
     """A non-decreasing sample plus the stable permutation that produced it."""
 
-    values: np.ndarray
-    order: np.ndarray
-
     def __init__(self, values: np.ndarray, order: np.ndarray):
-        object.__setattr__(self, "values", _as_readonly(np.asarray(values)))
-        object.__setattr__(self, "order", _as_readonly(np.asarray(order)))
+        self.values = _as_readonly(np.asarray(values))
+        self.order = _as_readonly(np.asarray(order))
 
     @property
     def n(self) -> int:
@@ -229,16 +227,12 @@ class SortedSample:
         return self.n
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """A point of the simplex, optionally certified non-increasing.
 
     The certificate is load-bearing: t_map and the sorted-domain
     estimators refuse uncertified vectors rather than silently sorting.
     """
-
-    weights: np.ndarray
-    monotone: bool = False
 
     def __init__(self, weights: ArrayLike, monotone: bool = False):
         arr = simplex_array(weights, "weights")
@@ -247,8 +241,8 @@ class WeightVector:
             raise NotMonotone(
                 f"weights increase at index {i}: {arr[i]} < {arr[i + 1]}"
             )
-        object.__setattr__(self, "weights", arr)
-        object.__setattr__(self, "monotone", bool(monotone))
+        self.weights = arr
+        self.monotone = bool(monotone)
 
     @property
     def n(self) -> int:
@@ -258,14 +252,11 @@ class WeightVector:
         return self.n
 
 
-@dataclass(frozen=True)
 class Mixture:
     """Mixing masses over discrete expected-shortfall levels k/n."""
 
-    masses: np.ndarray
-
     def __init__(self, masses: ArrayLike):
-        object.__setattr__(self, "masses", simplex_array(masses, "masses"))
+        self.masses = simplex_array(masses, "masses")
 
     @property
     def n(self) -> int:
@@ -275,7 +266,6 @@ class Mixture:
         return self.n
 
 
-@dataclass(frozen=True)
 class RepresentingSet:
     """Finite vertex list of a polyhedral representing set.
 
@@ -284,9 +274,6 @@ class RepresentingSet:
     sets. With sorted_domain the vertices apply to the sorted sample and
     must each be non-increasing.
     """
-
-    vertices: np.ndarray  # shape (m, n), rows on the simplex
-    sorted_domain: bool = True
 
     def __init__(
         self,
@@ -318,8 +305,9 @@ class RepresentingSet:
         n = rows[0].size
         if any(r.size != n for r in rows):
             raise LengthMismatch("representing-set vertices differ in length")
-        object.__setattr__(self, "vertices", _as_readonly(np.vstack(rows)))
-        object.__setattr__(self, "sorted_domain", bool(sorted_domain))
+        # shape (m, n), rows on the simplex
+        self.vertices = _as_readonly(np.vstack(rows))
+        self.sorted_domain = bool(sorted_domain)
 
     @property
     def m(self) -> int:

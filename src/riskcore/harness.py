@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -53,7 +53,6 @@ AXIOM_TOL = 1e-9
 #: trials an axiom draws and sends to the oracle together
 AXIOM_BLOCK = 64
 
-@dataclass(frozen=True)
 class LipschitzClass:
     """A finite family of spectra with shared bound and Lipschitz constants.
 
@@ -63,10 +62,6 @@ class LipschitzClass:
     bound. Members without a declared Lipschitz constant (the
     expected-shortfall family) are rejected.
     """
-
-    members: Tuple[Spectrum, ...]
-    class_C: float = field(init=False)
-    class_L: float = field(init=False)
 
     def __init__(self, members: Sequence[Spectrum]):
         members = tuple(members)
@@ -86,9 +81,9 @@ class LipschitzClass:
                 raise NotLipschitz(
                     f"{phi.kind} spectrum violates the class Lipschitz constant"
                 )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "class_C", float(class_c))
-        object.__setattr__(self, "class_L", float(class_l))
+        self.members = members
+        self.class_C = float(class_c)
+        self.class_L = float(class_l)
 
 
 def bundled_lipschitz_class() -> LipschitzClass:
@@ -110,8 +105,8 @@ def bundled_lipschitz_class() -> LipschitzClass:
 class ExperimentReport:
     """Config echo plus results for one experiment run.
 
-    Serialisation is deterministic and excludes wall time by default so
-    that identical (config, seed) runs produce byte-identical JSON.
+    Serialisation is deterministic and leaves wall time out, so that
+    identical (config, seed) runs produce byte-identical JSON.
     """
 
     experiment: str
@@ -121,8 +116,8 @@ class ExperimentReport:
     seed: int
     wall_time_s: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema": SCHEMA,
             "experiment": self.experiment,
             "config": self.config,
@@ -130,12 +125,9 @@ class ExperimentReport:
             "passed": self.passed,
             "seed": self.seed,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing))
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 #: the largest float below 1, which 1 - U is for the smallest U > 0

@@ -9,7 +9,6 @@ most of the cold-start cost of the CLI, and only normal laws need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -24,6 +23,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: truncation used when integrating unbounded quantiles; the removed
 #: mass is restored through exact analytic tail terms
 TAIL_DELTA = 1e-8
+#: absolute tolerance of population_spectral_risk's quadrature
+RISK_TOL = 1e-10
 
 Floats = Union[float, np.ndarray]
 
@@ -41,19 +42,15 @@ def _phi(z: Floats) -> Floats:
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
 
 
-@dataclass(frozen=True)
 class ReferenceDistribution:
     """A population law with exact accessors.
 
     Supported kinds: uniform(a, b), normal(mean, sd), exponential(rate),
-    point_mass(c). The point mass exists for trivial-case tests only; its
-    density and quantile derivative are errors. A law whose quantile range
+    point_mass(c). The point mass is the degenerate law: it has no
+    density, and asking for one is an error. A law whose quantile range
     over [TAIL_DELTA, 1 - TAIL_DELTA] does not have a finite width is
     refused: every integral over a quantile range would overflow on it.
     """
-
-    kind: str
-    params: dict
 
     def __init__(self, kind: str, **params: float):
         # each value read on its own: beside a number, numpy reads a
@@ -74,8 +71,8 @@ class ReferenceDistribution:
             raise DomainError(f"normal needs sd > 0, got {params['sd']}")
         if kind == "exponential" and not params["rate"] > 0:
             raise DomainError(f"exponential needs rate > 0, got {params['rate']}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
+        self.kind = kind
+        self.params = params
         # the normal quantile comes from the standard library here: scipy
         # is imported by the accessors only, not by building a law
         if kind == "normal":
@@ -144,23 +141,6 @@ class ReferenceDistribution:
             out = np.where(x < 0.0, 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)))
         return float(out) if out.ndim == 0 else out
 
-    def quantile_derivative(self, u: Floats) -> Floats:
-        """q'(u) = 1 / f(q(u)) on (0, 1)."""
-        if self.kind == "point_mass":
-            raise DomainError("point mass has no quantile derivative")
-        u = np.asarray(u, dtype=np.float64)
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
-            raise AlphaOutOfRange("quantile derivative needs u in (0, 1)")
-        if self.kind == "uniform":
-            out = np.full_like(u, self.params["b"] - self.params["a"])
-        elif self.kind == "normal":
-            from scipy.special import ndtri
-
-            out = self.params["sd"] / _phi(ndtri(u))
-        else:
-            out = 1.0 / (self.params["rate"] * (1.0 - u))
-        return float(out) if out.ndim == 0 else out
-
     @property
     def mean(self) -> float:
         if self.kind == "uniform":
@@ -170,16 +150,6 @@ class ReferenceDistribution:
         if self.kind == "exponential":
             return 1.0 / self.params["rate"]
         return self.params["c"]
-
-    @property
-    def variance(self) -> float:
-        if self.kind == "uniform":
-            return (self.params["b"] - self.params["a"]) ** 2 / 12.0
-        if self.kind == "normal":
-            return self.params["sd"] ** 2
-        if self.kind == "exponential":
-            return 1.0 / self.params["rate"] ** 2
-        return 0.0
 
     # -- exact integral helpers --------------------------------------------
 
@@ -265,22 +235,23 @@ def population_es(dist: ReferenceDistribution, alpha: float) -> float:
 def population_spectral_risk(dist: ReferenceDistribution, phi: Spectrum) -> float:
     """Population spectral risk -integral of q * phi over (0, 1).
 
-    Quadrature runs on [delta, 1 - delta] split at the spectrum's
-    breakpoints; the truncated tails are restored with the exact quantile
-    primitive, with the spectrum frozen at its boundary value there.
+    An expected-shortfall spectrum is population_es, in closed form at
+    every level. Otherwise quadrature runs on [delta, 1 - delta] split at
+    the spectrum's breakpoints; the truncated tails are restored with the
+    exact quantile primitive, with the spectrum frozen at its boundary
+    value there.
     """
     if dist.kind == "point_mass":
         return -dist.params["c"]
+    if phi.kind == "es":
+        return population_es(dist, phi.params["alpha"])
     delta = TAIL_DELTA
-    if phi.kind == "es" and phi.params["alpha"] <= delta:
-        alpha = phi.params["alpha"]
-        return -float(dist.quantile_primitive(alpha)) / alpha
 
     def f(u: np.ndarray) -> np.ndarray:
         return dist.quantile(u) * phi.density(u)
 
     body = integrate_piecewise(
-        f, delta, 1.0 - delta, breakpoints=phi.breakpoints, tol=1e-10
+        f, delta, 1.0 - delta, breakpoints=phi.breakpoints, tol=RISK_TOL
     )
     low = float(phi.density(delta)) * float(dist.quantile_primitive(delta))
     top = float(phi.density(1.0 - delta)) * (

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -23,7 +22,6 @@ SHAPE_TOL = 1e-12
 Floats = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """A risk spectrum: non-increasing density phi on (0, 1], unit integral.
 
@@ -33,14 +31,6 @@ class Spectrum:
     them. An exact primitive is attached for every built-in kind; a
     custom density without one gets quadrature's running integral.
     """
-
-    kind: str
-    params: dict
-    bound: float
-    lipschitz: Optional[float]
-    breakpoints: tuple
-    _density: Callable[[np.ndarray], np.ndarray]
-    _primitive: Callable[[np.ndarray], np.ndarray]
 
     def __init__(
         self,
@@ -52,14 +42,12 @@ class Spectrum:
         primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         breakpoints: Sequence[float] = (),
     ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", dict(params))
-        object.__setattr__(self, "bound", float(bound))
-        object.__setattr__(
-            self, "lipschitz", None if lipschitz is None else float(lipschitz)
-        )
-        object.__setattr__(self, "breakpoints", tuple(breakpoints))
-        object.__setattr__(self, "_density", density)
+        self.kind = kind
+        self.params = dict(params)
+        self.bound = float(bound)
+        self.lipschitz = None if lipschitz is None else float(lipschitz)
+        self.breakpoints = tuple(breakpoints)
+        self._density = density
         if primitive is None:
             def primitive(t: np.ndarray) -> np.ndarray:
                 # a custom density's running integral, cut at every t so
@@ -73,7 +61,7 @@ class Spectrum:
                     density, 0.0, 1.0, cuts, 1e-10, DEFAULT_MAX_EVALS + 30 * t.size
                 )(t)
 
-        object.__setattr__(self, "_primitive", primitive)
+        self._primitive = primitive
         self._validate()
 
     def _validate(self) -> None:
@@ -220,11 +208,8 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
     )
 
 
-@dataclass(frozen=True)
 class StepSpectrum:
     """Step density taking the value n * a_i on ((i-1)/n, i/n]."""
-
-    levels: np.ndarray
 
     def __init__(self, levels: Sequence[float]):
         arr = np.asarray(levels, dtype=np.float64).copy()
@@ -234,7 +219,7 @@ class StepSpectrum:
         if abs(mean - 1.0) > SHAPE_TOL:
             raise NotNormalised(f"step levels average to {mean}, not 1")
         arr.setflags(write=False)
-        object.__setattr__(self, "levels", arr)
+        self.levels = arr
 
     @property
     def n(self) -> int:

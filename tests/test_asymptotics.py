@@ -1,7 +1,5 @@
 """RNG streams, bootstrap, influence/variance integrals, and distances."""
 
-import collections
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from riskcore import (
     Sample,
     asymptotic_variance,
     bootstrap_distribution,
-    bootstrap_resample,
     canonical_weights,
     expected_shortfall_spectrum,
     exponential_spectrum,
@@ -72,26 +69,6 @@ class TestRngSpec:
             assert np.array_equal(self.DRAWS[draw](stream(i)), expected)
             assert np.array_equal(
                 self.DRAWS[draw](RngSpec(seed, i).generator()), expected)
-
-
-class TestBootstrapResample:
-    def test_singleton(self):
-        out = bootstrap_resample(Sample([7.0]), RngSpec(1))
-        assert out.values.tolist() == [7.0]
-
-    def test_support_property(self):
-        gen_seed = 0
-        x = Sample(np.arange(10.0))
-        out = bootstrap_resample(x, RngSpec(gen_seed))
-        counts = collections.Counter(out.values.tolist())
-        assert set(counts) <= set(x.values.tolist())
-        assert out.n == x.n
-
-    def test_rerun_identical(self):
-        x = Sample([1.0, 2.0, 3.0])
-        a = bootstrap_resample(x, RngSpec(42, 0))
-        b = bootstrap_resample(x, RngSpec(42, 0))
-        assert np.array_equal(a.values, b.values)
 
 
 class TestBootstrapDistribution:

@@ -23,7 +23,6 @@ from riskcore.cli import (
     fmt,
     main,
     read_sample,
-    write_sample,
 )
 from riskcore.core import Sample
 from riskcore.errors import OracleFailure, RiskError
@@ -538,6 +537,14 @@ class TestErrorPaths:
         ["clt", "--config", CLT + '"threshold":NaN}'],
         ["rate", "--config", CLASS + '"n_grid":[10,20],"slope_band":[1]}'],
         ["consistency", "--config", CLASS + '"n_grid":5}'],
+        # sizes above core.MAX_SIZE, refused before any array is allocated
+        ["clt", "--config", CLT + '"n":1e308}'],
+        ["consistency", "--config", CLASS + '"n_grid":[1e308]}'],
+        ["bootstrap", "--config", CLT + '"B":5,"grid_m":1e308}'],
+        ["weights", "--spectrum", LINEAR, "--n", str(10**20)],
+        ["recover", "--oracle", DES_ORACLE, "--n", str(10**20)],
+        ["axioms", "--oracle", DES_ORACLE, "--n", str(10**20), "--trials", "1",
+         "--seed", "1"],
         ["variance", "--spectrum", LINEAR, "--dist",
          '{"type":"normal","mean":0,"sd":"x"}'],
         ["variance", "--spectrum", LINEAR, "--dist",
@@ -561,7 +568,7 @@ class TestErrorPaths:
     ])
     def test_malformed_json_value_is_one_line(self, capsys, three_file, argv):
         argv = [a.replace("{sample}", three_file) for a in argv]
-        if argv[0] in ("clt", "rate", "consistency"):
+        if argv[0] in ("clt", "bootstrap", "rate", "consistency"):
             argv += ["--seed", "1"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -852,8 +859,7 @@ class TestSampleIo:
         gen = np.random.default_rng(3)
         values = gen.standard_normal(64) * 1e5
         path = tmp_path / "x.csv"
-        with open(path, "w") as fh:
-            write_sample(values, fh)
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
         back = read_sample(str(path))
         assert np.array_equal(back.values, values)
 
@@ -965,7 +971,8 @@ class TestConsoleEntry:
     # a cold call loads the riskcore modules its subcommand runs and no
     # other: compiling and building the rest is most of riskcore's share of
     # a cold start. scipy.special, which only normal laws need, costs more
-    # than all of them.
+    # than all of them; dataclasses, which no value class on these paths
+    # uses, cost milliseconds.
     CHEAP = {"cli", "core", "errors", "estimators"}
 
     @pytest.mark.parametrize("argv,modules,oracle", [
@@ -1008,6 +1015,7 @@ class TestConsoleEntry:
         assert ("subprocess" in loaded) is oracle
         assert ("select" in loaded) is oracle
         assert not any(m.split(".")[0] == "scipy" for m in loaded)
+        assert "dataclasses" not in loaded
 
 
 class TestParser:

@@ -14,7 +14,7 @@ from riskcore import (
     t_inverse,
     t_map,
 )
-from riskcore.core import RepresentingSet, simplex_array
+from riskcore.core import MAX_SIZE, RepresentingSet, json_field, simplex_array
 from riskcore.errors import (
     AlphaOutOfRange,
     DomainError,
@@ -142,6 +142,18 @@ class TestWeightVector:
         w = WeightVector(values)
         assert w.weights.dtype == np.float64
         assert w.weights.tolist() == np.asarray(values, dtype=float).tolist()
+
+
+class TestJsonSizes:
+    def test_sizes_up_to_the_ceiling_are_read(self):
+        assert json_field({"n": MAX_SIZE}, "n", int) == MAX_SIZE
+        assert json_field({"n": float(2**31 - 2**7)}, "n", int) == 2**31 - 2**7
+        assert json_field({"n": [1, MAX_SIZE]}, "n", [int]) == [1, MAX_SIZE]
+
+    @pytest.mark.parametrize("value", [MAX_SIZE + 1, 2.0**31, 1e308, [5, 2**64]])
+    def test_sizes_above_the_ceiling_are_refused(self, value):
+        with pytest.raises(DomainError, match="exceeds the size ceiling"):
+            json_field({"n": value}, "n", [int] if isinstance(value, list) else int)
 
 
 class TestRepresentingSet:

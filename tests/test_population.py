@@ -49,16 +49,6 @@ class TestAccessors:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("name", ALL_KINDS)
-    def test_quantile_derivative_finite_difference(self, dists, name):
-        # |q'(u) - central difference| <= 1e-4 at 100 interior points
-        dist = dists[name]
-        h = 1e-5
-        u = np.linspace(0.02, 0.98, 100)
-        fd = (np.asarray(dist.quantile(u + h)) - np.asarray(dist.quantile(u - h))) / (2 * h)
-        qd = np.asarray(dist.quantile_derivative(u))
-        assert np.max(np.abs(qd - fd)) <= 1e-4
-
-    @pytest.mark.parametrize("name", ALL_KINDS)
     def test_cdf_primitive_differentiates_to_cdf(self, dists, name):
         dist = dists[name]
         h = 1e-6
@@ -79,8 +69,6 @@ class TestAccessors:
     def test_point_mass_density_is_error(self, point_mass3):
         with pytest.raises(DomainError):
             point_mass3.density(0.0)
-        with pytest.raises(DomainError):
-            point_mass3.quantile_derivative(0.5)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -168,6 +156,15 @@ class TestPopulationSpectralRisk:
         )
         assert via_spectrum == pytest.approx(population_es(dist, alpha),
                                              abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.01, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ALL_KINDS)
+    def test_es_spectrum_is_population_es_exactly(self, dists, name, alpha):
+        # the exact primitive takes precedence over quadrature at every level
+        dist = dists[name]
+        assert population_spectral_risk(
+            dist, expected_shortfall_spectrum(alpha)
+        ) == population_es(dist, alpha)
 
     def test_linear_spectrum_uniform_hand_value(self, uniform01):
         # -integral of u * 2(1-u) over (0,1) = -1/3
