@@ -68,7 +68,6 @@ _EXPORTS = {
     ),
     "spectra": (
         "Spectrum",
-        "StepSpectrum",
         "canonical_weights",
         "expected_shortfall_spectrum",
         "exponential_spectrum",

@@ -253,11 +253,18 @@ def truncated_kolmogorov(
     sample: Sample, dist: ReferenceDistribution, m: int
 ) -> float:
     """Kolmogorov distance restricted to the grid {-m, -m+1/m, ..., m}
-    (2 m^2 + 1 points), the finite shadow of the internal distance."""
+    (2 m^2 + 1 points), the finite shadow of the internal distance.
+
+    Between order statistics F_n is constant and F is monotone, so over
+    each run of grid points |F_n - F| peaks at an end of the run. Only
+    the grid ends and the points k/m next to each order statistic are
+    evaluated, never the whole grid."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    t = np.arange(-m * m, m * m + 1, dtype=np.float64) / m
     xs = np.sort(sample.values)
+    near = np.floor(np.clip(xs, -m - 1, m + 1) * m).astype(np.int64)
+    k = np.append((near[:, None] + np.arange(-1, 3)).ravel(), [-m * m, m * m])
+    t = np.clip(k, -m * m, m * m) / m
     fn = np.searchsorted(xs, t, side="right") / xs.size
     g = np.asarray(dist.cdf(t), dtype=np.float64)
     return float(np.max(np.abs(fn - g)))

@@ -167,22 +167,30 @@ _JSON_CHUNK = 1 << 16
 
 
 def _print_document(**fields: object) -> None:
-    """Print one riskcore/1 JSON object holding `fields`, byte for byte as
-    print(json.dumps(...)) would.
+    """Print one riskcore/1 JSON object holding the schema, then `fields`,
+    byte for byte as print(json.dumps(...)) would. A report's to_dict(),
+    whose first key is the schema, prints as it is.
 
     A float array is written in pieces: json writes a float with
     float.__repr__, as str() of a list does, so no list of every value
-    and no text of the whole array is ever held. A non-finite entry is an
+    and no text of the whole array is ever held. The document is strict
+    JSON: a non-finite number in any field, nested ones included, is an
     error, refused before anything is written."""
+    fields = {"schema": SCHEMA, **fields}
+    texts = {}
     for key, value in fields.items():
-        if isinstance(value, np.ndarray) and not np.isfinite(value).all():
-            raise RiskError(f"{key} is not finite")
+        try:
+            if not isinstance(value, np.ndarray):
+                texts[key] = json.dumps(value, allow_nan=False)
+            elif not np.isfinite(value).all():
+                raise ValueError
+        except ValueError:
+            raise RiskError(f"{key} is not finite") from None
     out = sys.stdout
-    out.write('{"schema": ' + json.dumps(SCHEMA))
-    for key, value in fields.items():
-        out.write(", " + json.dumps(key) + ": ")
-        if not isinstance(value, np.ndarray):
-            out.write(json.dumps(value))
+    for i, (key, value) in enumerate(fields.items()):
+        out.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+        if key in texts:
+            out.write(texts[key])
             continue
         out.write("[")
         for start in range(0, value.size, _JSON_CHUNK):
@@ -503,7 +511,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     }[args.command]
     values = [json_field(config, *field) for field in fields]
     report = driver(*values[:4], rng, *values[4:])
-    print(report.to_json())
+    _print_document(**report.to_dict())
     return 0 if report.passed is not False else 1
 
 
@@ -520,7 +528,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
             law_invariant=not args.skip_law_invariance,
             comonotonic=not args.skip_comonotonic,
         )
-    print(json.dumps(report.to_dict()))
+    _print_document(**report.to_dict())
     return 0 if report.passed else 1
 
 
@@ -601,9 +609,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # every --n option is a size
-        if getattr(args, "n", 0) > MAX_SIZE:
-            raise RiskError(f"--n exceeds the size ceiling {MAX_SIZE}: {args.n}")
+        # every --n and --trials option is a size
+        for option in ("n", "trials"):
+            size = getattr(args, option, 0)
+            if size > MAX_SIZE:
+                raise RiskError(
+                    f"--{option} exceeds the size ceiling {MAX_SIZE}: {size}"
+                )
         # an overflow surfaces as a non-finite result, which fmt rejects
         with np.errstate(over="ignore"):
             return args.fn(args)

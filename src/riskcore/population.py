@@ -1,4 +1,4 @@
-"""Reference distributions with exact CDF/quantile/density accessors and
+"""Reference distributions with exact CDF and quantile accessors and
 closed-form tail integrals, plus population risk values used as ground
 truth by the experiment drivers.
 
@@ -46,10 +46,9 @@ class ReferenceDistribution:
     """A population law with exact accessors.
 
     Supported kinds: uniform(a, b), normal(mean, sd), exponential(rate),
-    point_mass(c). The point mass is the degenerate law: it has no
-    density, and asking for one is an error. A law whose quantile range
-    over [TAIL_DELTA, 1 - TAIL_DELTA] does not have a finite width is
-    refused: every integral over a quantile range would overflow on it.
+    point_mass(c). A law whose quantile range over [TAIL_DELTA,
+    1 - TAIL_DELTA] does not have a finite width is refused: every
+    integral over a quantile range would overflow on it.
     """
 
     def __init__(self, kind: str, **params: float):
@@ -125,31 +124,6 @@ class ReferenceDistribution:
         else:
             out = np.full_like(u, self.params["c"])
         return float(out) if out.ndim == 0 else out
-
-    def density(self, x: Floats) -> Floats:
-        if self.kind == "point_mass":
-            raise DomainError("point mass has no density")
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "uniform":
-            a, b = self.params["a"], self.params["b"]
-            out = np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-        elif self.kind == "normal":
-            sd = self.params["sd"]
-            out = _phi((x - self.params["mean"]) / sd) / sd
-        else:
-            rate = self.params["rate"]
-            out = np.where(x < 0.0, 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)))
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def mean(self) -> float:
-        if self.kind == "uniform":
-            return 0.5 * (self.params["a"] + self.params["b"])
-        if self.kind == "normal":
-            return self.params["mean"]
-        if self.kind == "exponential":
-            return 1.0 / self.params["rate"]
-        return self.params["c"]
 
     # -- exact integral helpers --------------------------------------------
 

@@ -26,7 +26,8 @@ class Spectrum:
     """A risk spectrum: non-increasing density phi on (0, 1], unit integral.
 
     bound is the sup-norm C; lipschitz is the Lipschitz constant L where
-    one exists (None for the expected-shortfall family, which jumps).
+    one exists (None for the expected-shortfall and step families, which
+    jump).
     breakpoints lists interior kinks/jumps so quadrature never straddles
     them. An exact primitive is attached for every built-in kind; a
     custom density without one gets quadrature's running integral.
@@ -208,45 +209,6 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
     )
 
 
-class StepSpectrum:
-    """Step density taking the value n * a_i on ((i-1)/n, i/n]."""
-
-    def __init__(self, levels: Sequence[float]):
-        arr = np.asarray(levels, dtype=np.float64).copy()
-        if np.any(np.diff(arr) > SHAPE_TOL):
-            raise NotMonotone("step levels must be non-increasing")
-        mean = float(arr.mean())
-        if abs(mean - 1.0) > SHAPE_TOL:
-            raise NotNormalised(f"step levels average to {mean}, not 1")
-        arr.setflags(write=False)
-        self.levels = arr
-
-    @property
-    def n(self) -> int:
-        return self.levels.size
-
-    def density(self, u: Floats) -> Floats:
-        arr = np.asarray(u, dtype=np.float64)
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"step spectrum evaluated outside (0, 1]: {u}")
-        idx = np.clip(ceil_level(self.n, arr) - 1, 0, self.n - 1)
-        out = self.levels[idx]
-        return float(out) if np.isscalar(u) or arr.ndim == 0 else out
-
-    def primitive(self, t: Floats) -> Floats:
-        arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"step primitive evaluated outside [0, 1]: {t}")
-        cum = np.concatenate([[0.0], np.cumsum(self.levels)]) / self.n
-        # k whole steps lie below t; at t = k/n that is k, not k - 1, so
-        # Phi(k/n) is exactly cum[k]
-        j = ceil_level(self.n, arr)
-        k = np.clip(np.where(j / self.n <= arr, j, j - 1), 0, self.n - 1)
-        out = cum[k] + (arr - k / self.n) * self.levels[k]
-        out = np.where(arr >= 1.0, cum[-1], out)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
 def canonical_weights(phi: Spectrum, n: int) -> WeightVector:
     """Canonical discretisation a_i = Phi(i/n) - Phi((i-1)/n).
 
@@ -260,11 +222,34 @@ def canonical_weights(phi: Spectrum, n: int) -> WeightVector:
     return WeightVector(np.clip(w, 0.0, None), monotone=True)
 
 
-def step_spectrum(a: WeightVector) -> StepSpectrum:
-    """Associated step function of a non-increasing weight vector."""
+def step_spectrum(a: WeightVector) -> Spectrum:
+    """Associated step spectrum of a non-increasing weight vector: the
+    value n * a_i on ((i-1)/n, i/n]."""
     if not a.monotone:
         raise NotMonotone("step_spectrum requires a certified monotone vector")
-    return StepSpectrum(a.n * a.weights)
+    n = a.n
+    levels = n * a.weights
+    cum = np.concatenate([[0.0], np.cumsum(levels)]) / n
+
+    def density(u: np.ndarray) -> np.ndarray:
+        return levels[np.clip(ceil_level(n, u) - 1, 0, n - 1)]
+
+    def primitive(t: np.ndarray) -> np.ndarray:
+        # k whole steps lie below t; at t = k/n that is k, not k - 1, so
+        # Phi(k/n) is exactly cum[k]
+        j = ceil_level(n, t)
+        k = np.clip(np.where(j / n <= t, j, j - 1), 0, n - 1)
+        return np.where(t >= 1.0, cum[-1], cum[k] + (t - k / n) * levels[k])
+
+    return Spectrum(
+        kind="step",
+        params={"levels": levels.tolist()},
+        bound=float(levels.max()),
+        lipschitz=None,
+        density=density,
+        primitive=primitive,
+        breakpoints=(np.arange(1, n) / n).tolist(),
+    )
 
 
 def primitive_gap(phi: Spectrum, n: int, grid_size: int) -> float:

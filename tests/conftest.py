@@ -1,5 +1,7 @@
 """Shared fixtures and draw helpers."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -18,6 +20,16 @@ def draw_monotone_simplex(gen: np.random.Generator, n: int) -> np.ndarray:
 def draw_simplex(gen: np.random.Generator, n: int) -> np.ndarray:
     raw = gen.exponential(size=n)
     return raw / raw.sum()
+
+
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def strict_json(text: str) -> object:
+    """Parse a riskcore document as strict JSON: json.loads alone reads
+    NaN, Infinity and -Infinity, which no riskcore document may hold."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def rational_level(max_n: int = 400):

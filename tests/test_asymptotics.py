@@ -113,7 +113,53 @@ class TestKolmogorov:
         assert kolmogorov_distance(Sample([0.5]), uniform01) == 0.5
 
 
+def full_grid_kolmogorov(sample, dist, m):
+    """Kolmogorov distance over every point of {-m, -m+1/m, ..., m}: the
+    reference for truncated_kolmogorov, which evaluates a few of them."""
+    t = np.arange(-m * m, m * m + 1, dtype=np.float64) / m
+    xs = np.sort(sample.values)
+    fn = np.searchsorted(xs, t, side="right") / xs.size
+    g = np.asarray(dist.cdf(t), dtype=np.float64)
+    return float(np.max(np.abs(fn - g)))
+
+
 class TestTruncatedKolmogorov:
+    LAWS = [
+        ReferenceDistribution("normal", mean=0.0, sd=1.0),
+        ReferenceDistribution("normal", mean=0.3, sd=2.5),
+        ReferenceDistribution("exponential", rate=1.5),
+        ReferenceDistribution("uniform", a=-1.0, b=2.0),
+        ReferenceDistribution("point_mass", c=0.5),
+    ]
+
+    @pytest.mark.parametrize("law", range(len(LAWS)))
+    @pytest.mark.parametrize("shape", ["normal", "on_grid", "extreme",
+                                       "near_grid"])
+    def test_equals_the_full_grid_exactly(self, law, shape):
+        dist = self.LAWS[law]
+        gen = np.random.default_rng([law, len(shape)])
+        for _ in range(40):
+            m, n = int(gen.integers(1, 121)), int(gen.integers(1, 301))
+            if shape == "normal":
+                x = gen.normal(0.0, 3.0, n)
+            elif shape == "on_grid":
+                x = gen.integers(-m * m - 5, m * m + 5, n) / m
+            elif shape == "extreme":
+                x = gen.choice([-1e300, 1e300, 0.0, 1.0 / m, -m, m,
+                                m + 1e-9], n)
+            else:
+                x = (np.round(gen.normal(0.0, 1.0, n) * m) / m
+                     + gen.choice([0.0, 1e-16, -1e-16], n))
+            sample = Sample(x)
+            assert (truncated_kolmogorov(sample, dist, m)
+                    == full_grid_kolmogorov(sample, dist, m))
+
+    def test_huge_m_builds_no_grid(self, std_normal):
+        # the full grid for m = 10^5 holds 2 * 10^10 points
+        x = Sample(np.random.default_rng(15).standard_normal(2000))
+        d = truncated_kolmogorov(x, std_normal, 100_000)
+        assert 0.0 < d <= kolmogorov_distance(x, std_normal) + 1e-15
+
     def test_hand_example(self, std_normal):
         # grid {-1, 0, 1}; the gap at t=0 is |1 - 0.5|
         assert truncated_kolmogorov(Sample([0.0]), std_normal, 1) == 0.5

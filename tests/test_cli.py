@@ -26,6 +26,7 @@ from riskcore.cli import (
 )
 from riskcore.core import Sample
 from riskcore.errors import OracleFailure, RiskError
+from conftest import strict_json
 
 ORACLES = pathlib.Path(__file__).parent / "oracles"
 DES_ORACLE = f"{sys.executable} {ORACLES / 'des_oracle.py'}"
@@ -132,7 +133,7 @@ class TestEstimate:
             "--repset", '{"sorted_domain":false,"vertices":[[1,0],[0,1]]}',
         )
         assert code == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert doc["schema"] == "riskcore/1"
         assert doc["value"] == 2.0 and doc["argmax_index"] == 1
 
@@ -142,7 +143,7 @@ class TestWeightAlgebra:
         code, out, _ = run_cli(
             capsys, "weights", "--spectrum", '{"type":"uniform"}', "--n", "3"
         )
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert np.allclose(doc["weights"], [1 / 3] * 3, atol=1e-15)
 
     def test_weights_of_a_nearly_flat_exponential_spectrum(self, capsys):
@@ -151,7 +152,7 @@ class TestWeightAlgebra:
             "--n", "3",
         )
         assert code == 0, err
-        weights = json.loads(out)["weights"]
+        weights = strict_json(out)["weights"]
         assert weights == sorted(weights, reverse=True)
         assert np.allclose(weights, [1 / 3] * 3, rtol=1e-12, atol=0)
 
@@ -159,13 +160,13 @@ class TestWeightAlgebra:
         weights = "[0.5, 0.3333333333333333, 0.16666666666666666]"
         code, out, _ = run_cli(capsys, "decompose", "--weights", weights)
         assert code == 0
-        mixture = json.loads(out)["mixture"]
+        mixture = strict_json(out)["mixture"]
         assert np.allclose(mixture, [1 / 6, 1 / 3, 1 / 2], atol=1e-12)
         code, out, _ = run_cli(
             capsys, "compose", "--mixture", json.dumps(mixture)
         )
         assert np.allclose(
-            json.loads(out)["weights"], [1 / 2, 1 / 3, 1 / 6], atol=1e-12
+            strict_json(out)["weights"], [1 / 2, 1 / 3, 1 / 6], atol=1e-12
         )
 
     def test_decompose_rejects_increasing(self, capsys):
@@ -180,7 +181,7 @@ class TestOracleCommands:
             capsys, "recover", "--oracle", f"{DES_ORACLE} 2", "--n", "3"
         )
         assert code == 0
-        assert np.allclose(json.loads(out)["weights"], [0.5, 0.5, 0.0],
+        assert np.allclose(strict_json(out)["weights"], [0.5, 0.5, 0.0],
                            atol=1e-12)
 
     def test_axioms_pass(self, capsys):
@@ -189,7 +190,7 @@ class TestOracleCommands:
             "--trials", "40", "--seed", "5",
         )
         assert code == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert doc["passed"] and all(doc["axioms"].values())
 
     def test_axioms_foil_exits_one(self, capsys):
@@ -198,9 +199,34 @@ class TestOracleCommands:
             "--trials", "40", "--seed", "5",
         )
         assert code == 1
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert not doc["passed"]
         assert "cash_additivity" in doc["counterexamples"]
+
+    def test_report_is_the_library_report_as_json(self, capsys):
+        from riskcore import RngSpec, check_axioms
+
+        code, out, _ = run_cli(
+            capsys, "axioms", "--oracle", STD_ORACLE, "--n", "5",
+            "--trials", "40", "--seed", "5",
+        )
+        with SubprocessOracle(STD_ORACLE) as oracle:
+            report = check_axioms(oracle, n=5, trials=40, rng=RngSpec(5))
+        assert code == 1
+        assert out == json.dumps(report.to_dict()) + "\n"
+
+    def test_non_finite_report_is_refused(self, capsys, tmp_path):
+        # the reply 1e308 makes a comonotonic-additivity side infinite
+        path = tmp_path / "huge_oracle.py"
+        path.write_text("import sys\n"
+                        "for line in sys.stdin:\n"
+                        "    print('1e308', flush=True)\n")
+        code, out, err = run_cli(
+            capsys, "axioms", "--oracle", f"{sys.executable} {path}",
+            "--n", "3", "--trials", "3", "--seed", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: counterexamples is not finite\n"
 
     def test_axioms_requires_seed(self, capsys):
         code, _, err = run_cli(
@@ -274,7 +300,7 @@ class TestPipelinedOracle:
             capture_output=True, text=True, timeout=30,
         )
         assert out.returncode == 0, out.stderr
-        weights = json.loads(out.stdout)["weights"]
+        weights = strict_json(out.stdout)["weights"]
         assert weights == [1 / 16] * 16 + [0.0] * 984
 
     def test_many_small_requests_do_not_deadlock(self, monkeypatch):
@@ -400,7 +426,7 @@ class TestExperiments:
         )
         assert code == 0
         assert out1 == out2
-        doc = json.loads(out1)
+        doc = strict_json(out1)
         assert doc["schema"] == "riskcore/1" and doc["passed"]
 
     @pytest.mark.parametrize("command, config", [
@@ -428,6 +454,21 @@ class TestExperiments:
         assert plain[0] in (0, 1)
         assert threaded == plain
 
+    def test_report_is_the_library_report_as_json(self, capsys):
+        from riskcore import RngSpec, clt_check, distribution_from_json
+        from riskcore import spectrum_from_json
+
+        config = json.loads(self.CLT_CONFIG)
+        code, out, _ = run_cli(
+            capsys, "clt", "--config", self.CLT_CONFIG, "--seed", "1"
+        )
+        report = clt_check(
+            spectrum_from_json(config["spectrum"]),
+            distribution_from_json(config["dist"]), config["n"],
+            config["reps"], RngSpec(1), config["threshold"],
+        )
+        assert code == 0 and out == report.to_json() + "\n"
+
     def test_config_from_file(self, capsys, tmp_path):
         path = tmp_path / "clt.json"
         path.write_text(self.CLT_CONFIG)
@@ -440,7 +481,7 @@ class TestExperiments:
         code, out1, _ = run_cli(
             capsys, "clt", "--config", self.CLT_CONFIG, "--seed", "1"
         )
-        doc = json.loads(out1)
+        doc = strict_json(out1)
         code, out2, _ = run_cli(
             capsys, "clt", "--config", json.dumps(doc["config"]),
             "--seed", str(doc["seed"]),
@@ -454,7 +495,7 @@ class TestExperiments:
             capsys, "clt", "--config", json.dumps(config), "--seed", "1"
         )
         assert code == 1
-        assert json.loads(out)["passed"] is False
+        assert strict_json(out)["passed"] is False
 
     def test_missing_seed_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "clt", "--config", self.CLT_CONFIG)
@@ -469,8 +510,22 @@ class TestExperiments:
         code, out, _ = run_cli(capsys, "bootstrap", "--config", config,
                                "--seed", "2")
         assert code == 0
-        res = json.loads(out)["results"]
+        res = strict_json(out)["results"]
         assert res["d_K_m"] <= res["d_K"]
+
+    def test_bootstrap_with_a_huge_grid_m_runs(self, capsys):
+        # a grid of 2 * 10^10 points if it were built whole
+        config = json.dumps({
+            "spectrum": {"type": "linear", "slope": 2.0},
+            "dist": {"type": "normal", "mean": 0, "sd": 1},
+            "n": 120, "B": 80, "threshold": 0.3, "grid_m": 100_000,
+        })
+        code, out, err = run_cli(capsys, "bootstrap", "--config", config,
+                                 "--seed", "2")
+        assert code in (0, 1) and err == ""
+        doc = strict_json(out)
+        assert doc["config"]["grid_m"] == 100_000
+        assert 0.0 < doc["results"]["d_K_m"] <= doc["results"]["d_K"]
 
     def test_consistency_bundled_class(self, capsys):
         config = json.dumps({
@@ -481,7 +536,7 @@ class TestExperiments:
         code, out, _ = run_cli(capsys, "consistency", "--config", config,
                                "--seed", "3")
         assert code == 0
-        assert json.loads(out)["passed"]
+        assert strict_json(out)["passed"]
 
     def test_rate_runs(self, capsys):
         config = json.dumps({
@@ -492,7 +547,7 @@ class TestExperiments:
         code, out, _ = run_cli(capsys, "rate", "--config", config,
                                "--seed", "4")
         assert code == 0
-        assert "slope" in json.loads(out)["results"]
+        assert "slope" in strict_json(out)["results"]
 
 
 class TestErrorPaths:
@@ -651,7 +706,7 @@ class TestNumericConfigFields:
     def test_integral_float_reads_as_int(self, capsys):
         code, out, _ = self.clt(capsys, '"n":50.0,"reps":20.0')
         assert (code, out) == self.clt(capsys, '"n":50,"reps":20')[:2]
-        assert json.loads(out)["config"]["n"] == 50
+        assert strict_json(out)["config"]["n"] == 50
         assert '"reps": 20,' in out
 
 
@@ -775,7 +830,7 @@ class TestSortedDomain:
         code, out, _ = run_cli(capsys, "estimate", "--sample", str(path),
                                form, self.FORMS[form] % flag)
         assert code == 0
-        result = json.loads(out)["value"] if form == "--repset" else out
+        result = strict_json(out)["value"] if form == "--repset" else out
         assert float(result) == value
 
 
@@ -906,6 +961,16 @@ class TestSampleIo:
     def test_float_array_writer_refuses_non_finite(self, capsys):
         with pytest.raises(RiskError, match="weights is not finite"):
             cli._print_document(weights=np.array([0.5, np.nan]))
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", [
+        float("inf"), float("nan"), {"d_K": 0.1, "sigma2": float("-inf")},
+        {"axiom": {"x": [1.0, float("nan")], "lhs": 0.0}},
+    ])
+    def test_writer_refuses_non_finite_in_any_field(self, capsys, value):
+        # the array comes first, and is not written either
+        with pytest.raises(RiskError, match="^results is not finite$"):
+            cli._print_document(weights=np.array([0.5, 0.5]), results=value)
         assert capsys.readouterr().out == ""
 
 
@@ -1050,6 +1115,20 @@ class TestBadInputs:
         assert out.stdout == ""
         assert "n must be >= 1" in out.stderr
         assert out.stderr.count("\n") == 1
+
+    def test_trials_above_the_ceiling_exits_instead_of_running(self):
+        # a missing oracle command exits 2 as well, so the message must
+        # name the ceiling
+        out = subprocess.run(
+            [sys.executable, "-m", "riskcore.cli", "axioms", "--oracle",
+             DES_ORACLE, "--n", "3", "--trials", str(10**20), "--seed", "1"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == (
+            f"error: --trials exceeds the size ceiling 2147483647: {10**20}\n"
+        )
 
     def test_overflowing_es_is_an_error(self, tmp_path):
         path = tmp_path / "huge.csv"

@@ -25,8 +25,9 @@ from riskcore.errors import (
     QuadratureFailure,
 )
 from riskcore.quadrature import adaptive_simpson
-from riskcore.spectra import StepSpectrum, spectrum_to_json
-from conftest import rational_level
+from riskcore.core import WeightVector, ceil_level
+from riskcore.spectra import spectrum_to_json
+from conftest import draw_monotone_simplex, rational_level
 
 
 class TestDensity:
@@ -116,24 +117,48 @@ class TestCanonicalWeights:
             canonical_weights(uniform_spectrum(), 0)
 
 
+def reference_step(levels):
+    """The density and primitive of the step function n * a_i on
+    ((i-1)/n, i/n], written out on their own, with their own domain
+    checks and scalar returns: the reference for step_spectrum."""
+    n = levels.size
+    cum = np.concatenate([[0.0], np.cumsum(levels)]) / n
+
+    def density(u):
+        arr = np.asarray(u, dtype=np.float64)
+        if np.any(arr <= 0.0) or np.any(arr > 1.0):
+            raise DomainError(f"step spectrum evaluated outside (0, 1]: {u}")
+        out = levels[np.clip(ceil_level(n, arr) - 1, 0, n - 1)]
+        return float(out) if np.isscalar(u) or arr.ndim == 0 else out
+
+    def primitive(t):
+        arr = np.asarray(t, dtype=np.float64)
+        if np.any(arr < 0.0) or np.any(arr > 1.0):
+            raise DomainError(f"step primitive evaluated outside [0, 1]: {t}")
+        j = ceil_level(n, arr)
+        k = np.clip(np.where(j / n <= arr, j, j - 1), 0, n - 1)
+        out = cum[k] + (arr - k / n) * levels[k]
+        out = np.where(arr >= 1.0, cum[-1], out)
+        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+
+    return density, primitive
+
+
 class TestStepSpectrum:
     def test_from_linear_weights(self):
         a = canonical_weights(linear_spectrum(2.0), 2)
-        assert step_spectrum(a).levels.tolist() == [1.5, 0.5]
+        assert step_spectrum(a).params["levels"] == [1.5, 0.5]
 
     def test_uniform_levels(self):
-        from riskcore import WeightVector
-
         step = step_spectrum(WeightVector([1 / 3] * 3, monotone=True))
-        assert np.allclose(step.levels, [1, 1, 1], atol=1e-15)
+        assert np.allclose(step.params["levels"], [1, 1, 1], atol=1e-15)
 
     def test_es_levels(self):
         a = canonical_weights(expected_shortfall_spectrum(0.5), 4)
-        assert np.allclose(step_spectrum(a).levels, [2, 2, 0, 0], atol=1e-14)
+        assert np.allclose(step_spectrum(a).params["levels"], [2, 2, 0, 0],
+                           atol=1e-14)
 
     def test_requires_certificate(self):
-        from riskcore import WeightVector
-
         with pytest.raises(NotMonotone):
             step_spectrum(WeightVector([0.5, 0.5]))
 
@@ -143,21 +168,75 @@ class TestStepSpectrum:
         assert abs(step.primitive(1.0) - 1.0) <= 1e-12
 
     def test_levels_must_be_monotone(self):
+        # a rise of 5e-16 between weights is inside the weight vector's
+        # slack; times n = 10^4 it is a rise of 5e-12 between levels
+        n = 10_000
+        w = np.full(n, 1.0 / n)
+        w[n // 2] += 5e-16
+        a = WeightVector(w, monotone=True)
         with pytest.raises(NotMonotone):
-            StepSpectrum([0.5, 1.5])
+            step_spectrum(a)
+
+    def test_is_a_spectrum_without_a_lipschitz_constant(self):
+        step = step_spectrum(canonical_weights(linear_spectrum(1.0), 4))
+        assert isinstance(step, Spectrum)
+        assert step.kind == "step" and step.lipschitz is None
+        assert step.breakpoints == (0.25, 0.5, 0.75)
+        assert step.bound == step.params["levels"][0]
+        with pytest.raises(DomainError):
+            step.density(0.0)
+        with pytest.raises(DomainError):
+            step.primitive(1.5)
+
+    def test_drivers_refuse_it(self, std_normal):
+        from riskcore import LipschitzClass, RngSpec, clt_check
+        from riskcore.errors import NotLipschitz
+
+        step = step_spectrum(canonical_weights(linear_spectrum(1.0), 4))
+        with pytest.raises(NotLipschitz):
+            clt_check(step, std_normal, 10, 5, RngSpec(1))
+        with pytest.raises(NotLipschitz):
+            LipschitzClass([step])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 11, 100, 257, 1000])
+    def test_matches_the_reference_exactly(self, n):
+        gen = np.random.default_rng(n)
+        a = WeightVector(draw_monotone_simplex(gen, n), monotone=True)
+        step = step_spectrum(a)
+        density, primitive = reference_step(n * a.weights)
+        levels = np.arange(n + 1) / n
+        points = np.concatenate([levels, [1.0], gen.random(64)])
+        inside = points[points > 0.0]
+        assert np.array_equal(step.primitive(points), primitive(points))
+        assert np.array_equal(step.density(inside), density(inside))
+        for t in points.tolist():
+            assert type(step.primitive(t)) is float
+            assert step.primitive(t) == primitive(t)
+            assert step.primitive(np.float64(t)) == primitive(np.float64(t))
+        for u in inside.tolist():
+            assert type(step.density(u)) is float
+            assert step.density(u) == density(u)
+        # primitive_gap, from the reference step of the canonical weights
+        phi = exponential_spectrum(3.0)
+        canonical = reference_step(n * canonical_weights(phi, n).weights)[1]
+        grid = np.arange(65) / 64
+        gap = np.max(np.abs(canonical(grid) - phi.primitive(grid)))
+        assert primitive_gap(phi, n, 64) == float(gap)
 
     @given(rational_level())
     @example((100, 7))
     @settings(max_examples=300, deadline=None)
     def test_level_k_over_n_is_in_step_k(self, nk):
         n, k = nk
-        levels = 2.0 * np.arange(n, 0, -1) / (n + 1)
-        step = StepSpectrum(levels)
+        a = WeightVector(2.0 * np.arange(n, 0, -1) / (n * (n + 1)),
+                         monotone=True)
+        levels = n * a.weights
+        step = step_spectrum(a)
         assert step.density(k / n) == levels[k - 1]
         assert step.primitive(k / n) == (np.cumsum(levels) / n)[k - 1]
 
     def test_density_matches_levels(self):
-        step = StepSpectrum([1.5, 0.5])
+        step = step_spectrum(WeightVector([0.75, 0.25], monotone=True))
         assert step.density(0.2) == 1.5
         assert step.density(0.5) == 1.5
         assert step.density(0.51) == 0.5
