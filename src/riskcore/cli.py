@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     MAX_SIZE,
+    MONOTONE_SLACK,
     SCHEMA,
     Mixture,
     RepresentingSet,
@@ -43,7 +44,6 @@ from .estimators import (
 # call loads only what it uses
 if TYPE_CHECKING:
     from .asymptotics import RngSpec
-    from .harness import LipschitzClass
 
 #: seconds an oracle process may take over each reply
 ORACLE_TIMEOUT_S = 60.0
@@ -233,7 +233,8 @@ def _json_vector(text: str, key: str) -> Tuple[np.ndarray, dict]:
 
 
 def _weights(values: np.ndarray) -> WeightVector:
-    return WeightVector(values, monotone=bool(np.all(np.diff(values) <= 1e-15)))
+    monotone = bool(np.all(np.diff(values) <= MONOTONE_SLACK))
+    return WeightVector(values, monotone=monotone)
 
 
 def _repset_from_json(text: str) -> RepresentingSet:
@@ -244,17 +245,6 @@ def _repset_from_json(text: str) -> RepresentingSet:
                           what="representing-set JSON")
     sorted_domain = json_field(obj, "sorted_domain", bool, True)
     return RepresentingSet(vertices, sorted_domain=sorted_domain)
-
-
-def _lipschitz_class(spec: object) -> LipschitzClass:
-    from .harness import LipschitzClass, bundled_lipschitz_class
-    from .spectra import spectrum_from_json
-
-    if spec == "bundled":
-        return bundled_lipschitz_class()
-    if not isinstance(spec, list):
-        raise RiskError("config 'class' must be \"bundled\" or a list of spectra")
-    return LipschitzClass([spectrum_from_json(s) for s in spec])
 
 
 class SubprocessOracle:
@@ -474,43 +464,16 @@ def cmd_variance(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """Run the experiment named by the subcommand on its config. Each
-    driver takes its fields in this order, then rng after the fourth; the
-    drivers are imported on each call, so a profiler can rebind them."""
-    from .harness import (
-        bootstrap_check,
-        clt_check,
-        consistency_sweep,
-        rate_experiment,
-    )
-    from .population import distribution_from_json
-    from .spectra import spectrum_from_json
+    """Run the experiment named by the subcommand on its config, read
+    through harness.EXPERIMENT_FIELDS. The driver is looked up on each
+    call, so a profiler can rebind it."""
+    from . import harness
 
     rng = _need_seed(args)
     config = _load_config(args.config)
-    driver, fields = {
-        "clt": (clt_check, [
-            ("spectrum", spectrum_from_json), ("dist", distribution_from_json),
-            ("n", int), ("reps", int), ("threshold", float, 0.05),
-        ]),
-        "bootstrap": (bootstrap_check, [
-            ("spectrum", spectrum_from_json), ("dist", distribution_from_json),
-            ("n", int), ("B", int), ("threshold", float, 0.08),
-            ("grid_m", int, 100),
-        ]),
-        "consistency": (consistency_sweep, [
-            ("class", _lipschitz_class), ("dist", distribution_from_json),
-            ("n_grid", [int]), ("reps", int), ("threshold", float, None),
-            ("min_pass_fraction", float, 1.0),
-        ]),
-        "rate": (rate_experiment, [
-            ("class", _lipschitz_class), ("dist", distribution_from_json),
-            ("n_grid", [int]), ("reps", int),
-            ("slope_band", (float, float), None),
-        ]),
-    }[args.command]
+    driver, fields = harness.EXPERIMENT_FIELDS[args.command]
     values = [json_field(config, *field) for field in fields]
-    report = driver(*values[:4], rng, *values[4:])
+    report = getattr(harness, driver)(*values[:4], rng, *values[4:])
     _print_document(**report.to_dict())
     return 0 if report.passed is not False else 1
 

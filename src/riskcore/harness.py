@@ -35,6 +35,7 @@ from .estimators import (
 )
 from .population import (
     ReferenceDistribution,
+    distribution_from_json,
     distribution_to_json,
     population_spectral_risk,
 )
@@ -43,6 +44,7 @@ from .spectra import (
     canonical_weights,
     exponential_spectrum,
     linear_spectrum,
+    spectrum_from_json,
     spectrum_to_json,
     uniform_spectrum,
 )
@@ -56,11 +58,10 @@ AXIOM_BLOCK = 64
 class LipschitzClass:
     """A finite family of spectra with shared bound and Lipschitz constants.
 
-    Construction verifies, on a 10^4-point grid, that every member moves
-    no faster than the class Lipschitz constant allows; each member's own
-    validation already keeps it within its bound, and so within the class
-    bound. Members without a declared Lipschitz constant (the
-    expected-shortfall family) are rejected.
+    Each member's own validation keeps it within its bound and its
+    Lipschitz constant, and so within the class constants, which are the
+    largest of the members'. Members without a declared Lipschitz constant
+    (the expected-shortfall family) are rejected.
     """
 
     def __init__(self, members: Sequence[Spectrum]):
@@ -72,18 +73,9 @@ class LipschitzClass:
                 raise NotLipschitz(
                     f"{phi.kind} spectrum carries no Lipschitz constant"
                 )
-        class_c = max(phi.bound for phi in members)
-        class_l = max(phi.lipschitz for phi in members)
-        grid = np.arange(1, 10_001, dtype=np.float64) / 10_000
-        for phi in members:
-            moves = np.abs(np.diff(phi.density(grid)))
-            if np.any(moves > class_l * np.diff(grid) + 1e-9):
-                raise NotLipschitz(
-                    f"{phi.kind} spectrum violates the class Lipschitz constant"
-                )
         self.members = members
-        self.class_C = float(class_c)
-        self.class_L = float(class_l)
+        self.class_C = float(max(phi.bound for phi in members))
+        self.class_L = float(max(phi.lipschitz for phi in members))
 
 
 def bundled_lipschitz_class() -> LipschitzClass:
@@ -99,6 +91,64 @@ def bundled_lipschitz_class() -> LipschitzClass:
             exponential_spectrum(5.0),
         ]
     )
+
+
+def lipschitz_class_from_json(spec: object) -> LipschitzClass:
+    """A class from its JSON description: "bundled", or a list of spectra."""
+    if spec == "bundled":
+        return bundled_lipschitz_class()
+    if not isinstance(spec, list):
+        raise DomainError(
+            "config 'class' must be \"bundled\" or a list of spectra")
+    return LipschitzClass([spectrum_from_json(s) for s in spec])
+
+
+#: each experiment's driver and config fields: JSON name, json_field kind
+#: and an optional field's default, in the order the driver takes them
+#: (its RngSpec follows the fourth)
+EXPERIMENT_FIELDS = {
+    "clt": ("clt_check", [
+        ("spectrum", spectrum_from_json), ("dist", distribution_from_json),
+        ("n", int), ("reps", int), ("threshold", float, 0.05),
+    ]),
+    "bootstrap": ("bootstrap_check", [
+        ("spectrum", spectrum_from_json), ("dist", distribution_from_json),
+        ("n", int), ("B", int), ("threshold", float, 0.08),
+        ("grid_m", int, 100),
+    ]),
+    "consistency": ("consistency_sweep", [
+        ("class", lipschitz_class_from_json), ("dist", distribution_from_json),
+        ("n_grid", [int]), ("reps", int), ("threshold", float, None),
+        ("min_pass_fraction", float, 1.0),
+    ]),
+    "rate": ("rate_experiment", [
+        ("class", lipschitz_class_from_json), ("dist", distribution_from_json),
+        ("n_grid", [int]), ("reps", int),
+        ("slope_band", (float, float), None),
+    ]),
+}
+
+#: the JSON echo of a built config value, by the builder that reads it
+_ECHO = {
+    spectrum_from_json: spectrum_to_json,
+    distribution_from_json: distribution_to_json,
+    lipschitz_class_from_json:
+        lambda cls: [spectrum_to_json(phi) for phi in cls.members],
+}
+
+
+def _echo(kind: object, value: object) -> object:
+    """The JSON echo of a config value that json_field reads as kind: a
+    float as it is, an int as an int, a list entry by entry."""
+    if value is None or kind is float:
+        return value
+    if kind is int:
+        return int(value)
+    if isinstance(kind, list):
+        return [_echo(kind[0], v) for v in value]
+    if isinstance(kind, tuple):
+        return [_echo(k, v) for k, v in zip(kind, value)]
+    return _ECHO[kind](value)
 
 
 @dataclass
@@ -128,6 +178,19 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+def _report(
+    experiment: str, values: Sequence[object], results: dict,
+    passed: Optional[bool], rng: RngSpec, started: float,
+) -> ExperimentReport:
+    """The report of a run begun at perf_counter() `started`, its config
+    echoed from the driver's field values in EXPERIMENT_FIELDS order."""
+    fields = EXPERIMENT_FIELDS[experiment][1]
+    config = {key: _echo(kind, value)
+              for (key, kind, *_), value in zip(fields, values)}
+    return ExperimentReport(experiment, config, results, passed, rng.seed,
+                            time.perf_counter() - started)
 
 
 #: the largest float below 1, which 1 - U is for the smallest U > 0
@@ -397,17 +460,9 @@ def consistency_sweep(
     if threshold is not None:
         frac = float(np.mean(per_n[-1] < threshold))
         passed = bool(frac >= min_pass_fraction)
-    config = {
-        "class": [spectrum_to_json(phi) for phi in cls.members],
-        "dist": distribution_to_json(dist),
-        "n_grid": [int(n) for n in n_grid],
-        "reps": int(reps),
-        "threshold": threshold,
-        "min_pass_fraction": min_pass_fraction,
-    }
-    return ExperimentReport(
-        "consistency", config, {"per_n": rows}, passed, rng.seed,
-        time.perf_counter() - started,
+    return _report(
+        "consistency", (cls, dist, n_grid, reps, threshold, min_pass_fraction),
+        {"per_n": rows}, passed, rng, started,
     )
 
 
@@ -424,8 +479,8 @@ def rate_experiment(
     A root-n rate shows up as a slope near -1/2; the experiment fails
     (DegenerateFit) when errors vanish, as for a point mass.
     """
-    if len(n_grid) < 2:
-        raise DomainError("rate fit needs at least two sample sizes")
+    if len(set(n_grid)) < 2:
+        raise DomainError("rate fit needs at least two distinct sample sizes")
     started = time.perf_counter()
     per_n, targets = _class_errors(cls, dist, n_grid, reps, rng)
     medians = np.array([float(np.median(errs)) for errs in per_n])
@@ -442,22 +497,13 @@ def rate_experiment(
     passed = None
     if slope_band is not None:
         passed = bool(slope_band[0] <= slope <= slope_band[1])
-    config = {
-        "class": [spectrum_to_json(phi) for phi in cls.members],
-        "dist": distribution_to_json(dist),
-        "n_grid": [int(n) for n in n_grid],
-        "reps": int(reps),
-        "slope_band": list(slope_band) if slope_band is not None else None,
-    }
     results = {
         "per_n": rows,
         "slope": float(slope),
         "intercept": float(intercept),
     }
-    return ExperimentReport(
-        "rate", config, results, passed, rng.seed,
-        time.perf_counter() - started,
-    )
+    return _report("rate", (cls, dist, n_grid, reps, slope_band), results,
+                   passed, rng, started)
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +547,10 @@ def clt_check(
     draws = root_n * (indexed_map(draw, reps, weights) - target)
     limit = ReferenceDistribution("normal", mean=0.0, sd=float(np.sqrt(sigma2)))
     d_k = kolmogorov_distance(Sample(draws), limit)
-    config = {
-        "spectrum": spectrum_to_json(phi),
-        "dist": distribution_to_json(dist),
-        "n": int(n),
-        "reps": int(reps),
-        "threshold": threshold,
-    }
     results = {"sigma2": float(sigma2), "d_K": float(d_k),
                "population_risk": float(target)}
-    return ExperimentReport(
-        "clt", config, results, bool(d_k < threshold), rng.seed,
-        time.perf_counter() - started,
-    )
+    return _report("clt", (phi, dist, n, reps, threshold), results,
+                   bool(d_k < threshold), rng, started)
 
 
 def bootstrap_check(
@@ -527,10 +564,11 @@ def bootstrap_check(
 ) -> ExperimentReport:
     """Bootstrap validity: one sample of size n, B resampled replicates,
     Kolmogorov and truncated-grid distances to the normal limit."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     started = time.perf_counter()
     sigma2 = _gate_clt_inputs(phi, dist)
-    gen = RngSpec(rng.seed, 0).generator()
-    sample = Sample(sample_from(dist, gen, n))
+    sample = Sample(sample_from(dist, rng.streams()(0), n))
     reps = bootstrap_distribution(sample, phi, B, rng)
     degenerate = bool(np.ptp(sample.values) == 0.0 or np.ptp(reps) == 0.0)
     limit = ReferenceDistribution("normal", mean=0.0, sd=float(np.sqrt(sigma2)))
@@ -538,14 +576,6 @@ def bootstrap_check(
     d_k = kolmogorov_distance(rep_sample, limit)
     d_k_m = truncated_kolmogorov(rep_sample, limit, grid_m)
     passed = None if degenerate else bool(d_k < threshold and d_k_m <= d_k)
-    config = {
-        "spectrum": spectrum_to_json(phi),
-        "dist": distribution_to_json(dist),
-        "n": int(n),
-        "B": int(B),
-        "threshold": threshold,
-        "grid_m": int(grid_m),
-    }
     results = {
         "n": int(n),
         "B": int(B),
@@ -555,10 +585,8 @@ def bootstrap_check(
         "seed": rng.seed,
         "degenerate": degenerate,
     }
-    return ExperimentReport(
-        "bootstrap", config, results, passed, rng.seed,
-        time.perf_counter() - started,
-    )
+    return _report("bootstrap", (phi, dist, n, B, threshold, grid_m), results,
+                   passed, rng, started)
 
 
 # ---------------------------------------------------------------------------

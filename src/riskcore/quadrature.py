@@ -223,7 +223,7 @@ def running_integral(
     f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     breakpoints: Sequence[float], tol: float, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> integral of the vectorised f over [a, t], for t in [a, b] (a < b).
+    """t -> integral of the vectorised f over [a, t], for t in [a, b] (a <= b).
 
     integrate_piecewise's partition gives the running sum at each panel
     edge, b included; any other t adds one G7K15 rule from its panel's
@@ -231,6 +231,8 @@ def running_integral(
     integral (K15 - G7 misses an odd part of f about a panel's centre),
     so a t whose value must meet tol belongs among the breakpoints.
     """
+    if a == b:  # _panels shares tol over b - a
+        return lambda t: np.zeros(np.shape(t))
     starts, pieces = _panels(f, a, b, breakpoints, tol, max_evals)
     edges = np.append(starts, b)
     bases = np.concatenate([[0.0], np.cumsum(pieces)])

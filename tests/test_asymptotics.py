@@ -328,6 +328,13 @@ class TestAsymptoticVariance:
         assert asymptotic_variance(uniform_spectrum(), exponential1) == \
             pytest.approx(1.0, abs=1e-4)
 
+    def test_a_law_on_one_float_has_zero_variance(self):
+        # every quantile the integral reads rounds to 1.0; the variance,
+        # sd^2 ~ 5e-495, is 0.0 in floats
+        narrow = ReferenceDistribution("normal", mean=1.0, sd=7e-248)
+        assert float(narrow.quantile(1e-6)) == float(narrow.quantile(1 - 1e-6))
+        assert asymptotic_variance(uniform_spectrum(), narrow) == 0.0
+
     def test_scale_equivariance(self):
         base = ReferenceDistribution("normal", mean=0.0, sd=1.0)
         scaled = ReferenceDistribution("normal", mean=5.0, sd=3.0)

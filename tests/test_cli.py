@@ -429,23 +429,25 @@ class TestExperiments:
         doc = strict_json(out1)
         assert doc["schema"] == "riskcore/1" and doc["passed"]
 
-    @pytest.mark.parametrize("command, config", [
-        ("clt", CLT_CONFIG),
-        ("bootstrap", json.dumps({
+    CONFIGS = {
+        "clt": CLT_CONFIG,
+        "bootstrap": json.dumps({
             "spectrum": {"type": "linear", "slope": 2.0},
             "dist": {"type": "normal", "mean": 0, "sd": 1},
             "n": 200, "B": 120,
-        })),
-        ("consistency", json.dumps({
+        }),
+        "consistency": json.dumps({
             "class": "bundled", "dist": {"type": "exponential", "rate": 1},
             "n_grid": [50, 400], "reps": 5, "threshold": 0.5,
-        })),
-        ("rate", json.dumps({
+        }),
+        "rate": json.dumps({
             "class": [{"type": "uniform"}],
             "dist": {"type": "uniform", "a": 0, "b": 1},
             "n_grid": [100, 1000], "reps": 5,
-        })),
-    ])
+        }),
+    }
+
+    @pytest.mark.parametrize("command, config", list(CONFIGS.items()))
     def test_threads_flag_is_accepted_and_ignored(self, capsys, command,
                                                   config):
         plain = run_cli(capsys, command, "--config", config, "--seed", "4")
@@ -454,20 +456,44 @@ class TestExperiments:
         assert plain[0] in (0, 1)
         assert threaded == plain
 
-    def test_report_is_the_library_report_as_json(self, capsys):
-        from riskcore import RngSpec, clt_check, distribution_from_json
-        from riskcore import spectrum_from_json
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_report_is_the_library_report_as_json(self, capsys, command):
+        from riskcore import (
+            LipschitzClass,
+            RngSpec,
+            bootstrap_check,
+            bundled_lipschitz_class,
+            clt_check,
+            consistency_sweep,
+            distribution_from_json,
+            rate_experiment,
+            spectrum_from_json,
+        )
 
-        config = json.loads(self.CLT_CONFIG)
+        config = json.loads(self.CONFIGS[command])
         code, out, _ = run_cli(
-            capsys, "clt", "--config", self.CLT_CONFIG, "--seed", "1"
+            capsys, command, "--config", self.CONFIGS[command], "--seed", "1"
         )
-        report = clt_check(
-            spectrum_from_json(config["spectrum"]),
-            distribution_from_json(config["dist"]), config["n"],
-            config["reps"], RngSpec(1), config["threshold"],
-        )
-        assert code == 0 and out == report.to_json() + "\n"
+        dist = distribution_from_json(config["dist"])
+        # written out per driver, so the CLI's table is not checked against
+        # itself; absent optional fields take the drivers' own defaults
+        report = {
+            "clt": lambda: clt_check(
+                spectrum_from_json(config["spectrum"]), dist, config["n"],
+                config["reps"], RngSpec(1), config["threshold"]),
+            "bootstrap": lambda: bootstrap_check(
+                spectrum_from_json(config["spectrum"]), dist, config["n"],
+                config["B"], RngSpec(1)),
+            "consistency": lambda: consistency_sweep(
+                bundled_lipschitz_class(), dist, config["n_grid"],
+                config["reps"], RngSpec(1), config["threshold"]),
+            "rate": lambda: rate_experiment(
+                LipschitzClass([spectrum_from_json(s)
+                                for s in config["class"]]),
+                dist, config["n_grid"], config["reps"], RngSpec(1)),
+        }[command]()
+        assert code == (1 if report.passed is False else 0)
+        assert out == report.to_json() + "\n"
 
     def test_config_from_file(self, capsys, tmp_path):
         path = tmp_path / "clt.json"
@@ -591,6 +617,10 @@ class TestErrorPaths:
         ["clt", "--config", CLT + '"threshold":"x"}'],
         ["clt", "--config", CLT + '"threshold":NaN}'],
         ["rate", "--config", CLASS + '"n_grid":[10,20],"slope_band":[1]}'],
+        # one distinct size: numpy warned of a rank-deficient fit
+        ["rate", "--config", CLASS + '"n_grid":[100,100]}'],
+        # a later key wins: n is -1, which numpy's draw refused
+        ["bootstrap", "--config", CLT + '"B":5,"n":-1}'],
         ["consistency", "--config", CLASS + '"n_grid":5}'],
         # sizes above core.MAX_SIZE, refused before any array is allocated
         ["clt", "--config", CLT + '"n":1e308}'],

@@ -1,6 +1,7 @@
 """Experiment drivers: axiom suite, sweeps, CLT/bootstrap checks, and the
 Kusuoka plug-in surrogate bounds."""
 
+import inspect
 import json
 
 import numpy as np
@@ -37,6 +38,7 @@ from riskcore.errors import (
     NotLipschitz,
     OracleFailure,
 )
+from riskcore import harness
 from riskcore.estimators import robust_sup
 from riskcore.population import RISK_TOL
 from riskcore.harness import (
@@ -64,6 +66,21 @@ class TestLipschitzClass:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             LipschitzClass([])
+
+
+class TestExperimentFields:
+    @pytest.mark.parametrize("experiment", list(harness.EXPERIMENT_FIELDS))
+    def test_defaults_are_the_drivers_keyword_defaults(self, experiment):
+        # the table lists the driver's parameters in order, its RngSpec
+        # left out after the fourth; a required field has no default
+        driver, fields = harness.EXPERIMENT_FIELDS[experiment]
+        params = list(
+            inspect.signature(getattr(harness, driver)).parameters.values())
+        assert params.pop(4).name == "rng"
+        assert len(params) == len(fields)
+        for param, (key, _, *default) in zip(params, fields):
+            expected = default[0] if default else inspect.Parameter.empty
+            assert param.default == expected, key
 
 
 class TestComonotonicPairs:
@@ -184,6 +201,14 @@ class TestAxiomBlocks:
         assert 0 <= len(calls) - stepwise <= (AXIOM_BLOCK - 1) * failing_rows
 
 
+#: the laws of the per-replicate W1 certificate tests
+W1_LAWS = pytest.mark.parametrize("law", [
+    ("normal", {"mean": 0.0, "sd": 1.0}),
+    ("exponential", {"rate": 1.0}),
+    ("uniform", {"a": -1.0, "b": 2.0}),
+], ids=["normal", "exponential", "uniform"])
+
+
 class TestConsistencySweep:
     def test_small_run_is_accurate(self, uniform01):
         cls = LipschitzClass([uniform_spectrum()])
@@ -231,11 +256,7 @@ class TestConsistencySweep:
                 est = w @ -np.sort(sample_from(std_normal, gen, n))
                 assert row["errors"][rep] == np.max(np.abs(est - targets))
 
-    @pytest.mark.parametrize("law", [
-        ("normal", {"mean": 0.0, "sd": 1.0}),
-        ("exponential", {"rate": 1.0}),
-        ("uniform", {"a": -1.0, "b": 2.0}),
-    ], ids=["normal", "exponential", "uniform"])
+    @W1_LAWS
     def test_every_replicate_meets_the_w1_certificate(self, law):
         # the canonical plug-in is -integral of q_n phi, so every sample has
         # |rho_hat - rho| <= sup phi * W1(F_n, F) (Pichler 2013); the slack
@@ -273,6 +294,44 @@ class TestRateExperiment:
         )
         assert report.passed
         assert -0.65 <= report.results["slope"] <= -0.35
+
+    @pytest.mark.parametrize("n_grid", [[100], [100, 100], [7, 7, 7.0]])
+    def test_one_distinct_size_rejected(self, std_normal, n_grid):
+        # a line through one sample size is undetermined
+        cls = LipschitzClass([uniform_spectrum()])
+        with pytest.raises(DomainError, match="two distinct sample sizes"):
+            rate_experiment(cls, std_normal, n_grid, 5, RngSpec(1))
+
+    def test_unsorted_grid_runs(self, std_normal):
+        cls = LipschitzClass([uniform_spectrum()])
+        report = rate_experiment(cls, std_normal, [1000, 100], 5, RngSpec(1))
+        assert [row["n"] for row in report.results["per_n"]] == [1000, 100]
+
+    @W1_LAWS
+    def test_every_replicate_meets_the_w1_certificate(self, law):
+        # replicate rep at grid index i_n draws from stream
+        # ((i_n + 1) << 32) | rep; each member's error is within
+        # sup phi * W1(F_n, F) of zero (Pichler 2013)
+        dist = ReferenceDistribution(law[0], **law[1])
+        cls = bundled_lipschitz_class()
+        grid, reps = [5, 50, 1000], 5
+        report = rate_experiment(cls, dist, grid, reps, RngSpec(4))
+        targets = np.array(
+            [population_spectral_risk(dist, phi) for phi in cls.members])
+        bounds = np.array([phi.bound for phi in cls.members])
+        for i_n, (n, row) in enumerate(zip(grid, report.results["per_n"])):
+            w = np.vstack([canonical_weights(phi, n).weights
+                           for phi in cls.members])
+            worst = []
+            for rep in range(reps):
+                gen = RngSpec(4, ((i_n + 1) << 32) | rep).generator()
+                x = sample_from(dist, gen, n)
+                errors = np.abs(w @ -np.sort(x) - targets)
+                worst.append(errors.max())
+                w1 = wasserstein1(Sample(x), dist)
+                assert np.all(errors <= bounds * w1 + RISK_TOL)
+            assert row["median_error"] == float(np.median(worst))
+            assert row["max_error"] == float(np.max(worst))
 
     def test_deterministic(self, std_normal):
         cls = LipschitzClass([uniform_spectrum()])
@@ -319,7 +378,39 @@ class TestCltCheck:
                                                             limit)
 
 
+    @W1_LAWS
+    def test_every_replicate_meets_the_w1_certificate(self, law):
+        # replicate rep draws from stream rep + 1, and its error is within
+        # sup phi * W1(F_n, F) of zero (Pichler 2013)
+        dist = ReferenceDistribution(law[0], **law[1])
+        reps = 5
+        for phi in bundled_lipschitz_class().members:
+            for n in (1, 5, 50, 1000):
+                report = clt_check(phi, dist, n, reps, RngSpec(4))
+                target = report.results["population_risk"]
+                w = canonical_weights(phi, n).weights
+                estimates = []
+                for rep in range(reps):
+                    x = sample_from(dist, RngSpec(4, rep + 1).generator(), n)
+                    estimates.append(w @ -np.sort(x))
+                    w1 = wasserstein1(Sample(x), dist)
+                    assert abs(estimates[-1] - target) <= (
+                        phi.bound * w1 + RISK_TOL)
+                limit = ReferenceDistribution(
+                    "normal", mean=0.0,
+                    sd=float(np.sqrt(report.results["sigma2"])))
+                draws = np.sqrt(n) * (np.array(estimates) - target)
+                assert report.results["d_K"] == kolmogorov_distance(
+                    Sample(draws), limit)
+
+
 class TestBootstrapCheck:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_data_rejected(self, uniform01, n):
+        # a negative size reached numpy's draw, which raised a ValueError
+        with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
+            bootstrap_check(uniform_spectrum(), uniform01, n, 16, RngSpec(1))
+
     def test_degenerate_single_point(self, uniform01):
         report = bootstrap_check(uniform_spectrum(), uniform01, 1, 16,
                                  RngSpec(1))

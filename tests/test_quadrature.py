@@ -157,6 +157,16 @@ class TestRunningIntegral:
         )
         assert primitive(b) == pytest.approx(float(exact(b)), abs=1e-13)
 
+    def test_an_empty_range_is_zero_and_never_evaluated(self):
+        # as integrate_piecewise's a == b; the partition of [a, a] divided
+        # by its width
+        def f(x):
+            raise AssertionError("evaluated")
+
+        primitive = running_integral(f, 1.0, 1.0, (), 1e-12)
+        assert primitive(1.0) == 0.0
+        assert np.array_equal(primitive(np.ones((2, 3))), np.zeros((2, 3)))
+
     def test_edges_are_not_evaluated(self):
         points = []
 

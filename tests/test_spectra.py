@@ -20,6 +20,7 @@ from riskcore import (
 )
 from riskcore.errors import (
     DomainError,
+    NotLipschitz,
     NotMonotone,
     NotNormalised,
     QuadratureFailure,
@@ -396,6 +397,20 @@ class TestValidation:
                 density=lambda u: 2.0 * np.ones_like(u),
                 primitive=lambda t: 2.0 * np.asarray(t),
             )
+
+    def test_false_lipschitz_constant_rejected(self):
+        # 2(1 - u) moves at rate 2: a smaller declared constant is refused
+        # when the spectrum is built, before any class or driver sees it
+        def build(lipschitz):
+            return Spectrum(
+                kind="custom", params={}, bound=2.0, lipschitz=lipschitz,
+                density=lambda u: 2.0 * (1.0 - u),
+                primitive=lambda t: t * (2.0 - t),
+            )
+
+        with pytest.raises(NotLipschitz, match="faster than its Lipschitz"):
+            build(1.9)
+        assert build(2.0).lipschitz == 2.0
 
     def test_es_alpha_validated(self):
         with pytest.raises(DomainError):
