@@ -64,21 +64,21 @@ class RngSpec:
         """
         bits = np.random.Philox(0)  # re-keyed before every use
         gen = np.random.Generator(bits)
-        seed = int(self.seed)
         zeros = np.zeros(4, dtype=np.uint64)
+        key = np.array([int(self.seed), 0], dtype=np.uint64)
+        # the setter copies every field, so one state serves every key
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
         def stream(i: int) -> np.random.Generator:
-            bits.state = {
-                "bit_generator": "Philox",
-                "state": {
-                    "counter": zeros,
-                    "key": np.array([seed, i], dtype=np.uint64),
-                },
-                "buffer": zeros,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            key[1] = i
+            bits.state = state
             return gen
 
         return stream
@@ -87,14 +87,31 @@ class RngSpec:
         return self.streams()(int(self.stream_id))
 
 
+#: sample values the replicate kernel sorts and negates at once; a
+#: replicate longer than this forms a block of its own
+BLOCK_FLOATS = 2**14
+
+
 def indexed_map(
     fn: Callable[[int], np.ndarray], count: int, weights: np.ndarray
 ) -> np.ndarray:
     """The replicate kernel: fn(i) draws replicate i's sample from its own
-    stream; the plug-in weights act on the sorted negated sample. Row i
-    of the result is replicate i's estimate (a scalar for 1-D weights, one
-    per weight row for an (m, n) array)."""
-    return np.array([weights @ -np.sort(fn(i)) for i in range(count)])
+    stream, called once per replicate in index order. The samples of a
+    block of replicates are stacked, sorted along rows and negated in
+    place; the plug-in weights then act on each row with a dot product of
+    its own, as a blocked matrix product would not give the same bits.
+    A replicate's sample never depends on its block, so neither does any
+    result. Row i of the result is replicate i's estimate (a scalar for
+    1-D weights, one per weight row for an (m, n) array)."""
+    per = max(1, BLOCK_FLOATS // weights.shape[-1])
+    estimates = []
+    for first in range(0, count, per):
+        block = np.array(
+            [fn(i) for i in range(first, min(first + per, count))])
+        block.sort(axis=1)
+        np.negative(block, out=block)
+        estimates.extend(weights @ row for row in block)
+    return np.array(estimates)
 
 
 def _spectrum_at_cdf(

@@ -444,7 +444,7 @@ def consistency_sweep(
     at least min_pass_fraction of the reps beat the threshold.
     """
     if list(n_grid) != sorted(n_grid) or len(n_grid) < 1:
-        raise DomainError("n_grid must be a non-empty increasing sequence")
+        raise DomainError("n_grid must be a non-empty non-decreasing sequence")
     started = time.perf_counter()
     per_n, _ = _class_errors(cls, dist, n_grid, reps, rng)
     rows = [
@@ -534,6 +534,8 @@ def clt_check(
     normal limit with the plug-in asymptotic variance."""
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     started = time.perf_counter()
     sigma2 = _gate_clt_inputs(phi, dist)
     target = population_spectral_risk(dist, phi)
@@ -566,6 +568,8 @@ def bootstrap_check(
     Kolmogorov and truncated-grid distances to the normal limit."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if B < 1:
+        raise DomainError(f"B must be >= 1, got {B}")
     started = time.perf_counter()
     sigma2 = _gate_clt_inputs(phi, dist)
     sample = Sample(sample_from(dist, rng.streams()(0), n))

@@ -19,8 +19,9 @@ from riskcore import (
     uniform_spectrum,
     wasserstein1,
 )
-from riskcore.asymptotics import influence_table
+from riskcore.asymptotics import BLOCK_FLOATS, indexed_map, influence_table
 from riskcore.errors import DomainError
+from riskcore.harness import bundled_lipschitz_class, sample_from
 from riskcore.quadrature import adaptive_simpson
 
 
@@ -69,6 +70,72 @@ class TestRngSpec:
             assert np.array_equal(self.DRAWS[draw](stream(i)), expected)
             assert np.array_equal(
                 self.DRAWS[draw](RngSpec(seed, i).generator()), expected)
+
+
+class TestIndexedMap:
+    """The block kernel against a per-replicate reference. The experiment
+    goldens barely cross a block boundary, so these tests guard it: counts
+    around each boundary, and a replicate longer than a block."""
+
+    LAWS = {
+        "uniform": ReferenceDistribution("uniform", a=-1.0, b=2.0),
+        "normal": ReferenceDistribution("normal", mean=0.3, sd=2.0),
+        "exponential": ReferenceDistribution("exponential", rate=5.0),
+        "point_mass": ReferenceDistribution("point_mass", c=3.0),
+    }
+
+    @staticmethod
+    def assert_matches_the_replicate_loop(fn, weights):
+        per = max(1, BLOCK_FLOATS // weights.shape[-1])
+        for count in sorted({1, per - 1, per, per + 1, 2 * per + 1} - {0}):
+            expected = np.array([weights @ -np.sort(fn(i))
+                                 for i in range(count)])
+            assert np.array_equal(indexed_map(fn, count, weights), expected)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("n", [37, 100, 1000, BLOCK_FLOATS + 1])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_law_draws(self, law, n, rows):
+        stream = RngSpec(11).streams()
+        members = bundled_lipschitz_class().members[:rows]
+        weights = np.vstack([canonical_weights(phi, n).weights
+                             for phi in members])
+        self.assert_matches_the_replicate_loop(
+            lambda i: sample_from(self.LAWS[law], stream(i + 1), n),
+            weights[0] if rows == 1 else weights)
+
+    @pytest.mark.parametrize("n", [7, 250, BLOCK_FLOATS + 1])
+    def test_bootstrap_gather(self, n):
+        stream = RngSpec(12).streams()
+        x = np.random.default_rng(n).standard_normal(n)
+        self.assert_matches_the_replicate_loop(
+            lambda i: x[stream(i + 1).integers(0, n, size=n)],
+            canonical_weights(linear_spectrum(2.0), n).weights)
+
+    def test_draws_once_per_replicate_in_index_order(self):
+        # stream order and the benchmark's replicate and draw counters rest
+        # on it; a block holds at most BLOCK_FLOATS values, or one replicate
+        n = 300
+        count = 2 * (BLOCK_FLOATS // n) + 7
+        events = []
+
+        def fn(i):
+            events.append(i)
+            return np.full(n, i + 0.5)
+
+        class FirstValue:
+            shape = (n,)
+
+            def __matmul__(self, row):
+                events.append("dot")
+                return row[0]
+
+        out = indexed_map(fn, count, FirstValue())
+        assert [e for e in events if e != "dot"] == list(range(count))
+        # a block's draws all come before its dots
+        runs = "".join("d" if e == "dot" else "f" for e in events)
+        assert runs == ("f" * 54 + "d" * 54) * 2 + "f" * 7 + "d" * 7
+        assert np.array_equal(out, -(np.arange(count) + 0.5))
 
 
 class TestBootstrapDistribution:

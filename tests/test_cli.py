@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskcore import cli
+from riskcore import cli, harness
 from riskcore.cli import (
     SubprocessOracle,
     build_parser,
@@ -574,6 +574,47 @@ class TestExperiments:
                                "--seed", "4")
         assert code == 0
         assert "slope" in strict_json(out)["results"]
+
+    GRID = '{"class":"bundled","dist":{"type":"normal","mean":0,"sd":1},' \
+           '"reps":2,"n_grid":%s}'
+
+    def test_unsorted_grid_is_refused_by_the_rule_that_holds(self, capsys):
+        # the check is non-decreasing order, so a repeated size runs; the
+        # refusal said "increasing"
+        code, out, err = run_cli(capsys, "consistency", "--seed", "1",
+                                 "--config", self.GRID % "[20,10]")
+        assert (code, out) == (2, "")
+        assert err == ("error: n_grid must be a non-empty non-decreasing "
+                       "sequence\n")
+        code, out, err = run_cli(capsys, "consistency", "--seed", "1",
+                                 "--config", self.GRID % "[5,5]")
+        assert (code, err) == (0, "")
+        assert [row["n"] for row in strict_json(out)["results"]["per_n"]] \
+            == [5, 5]
+
+    LAW = '"spectrum":{"type":"linear","slope":2},' \
+          '"dist":{"type":"normal","mean":0,"sd":1}'
+
+    @pytest.mark.parametrize("command, sizes, message", [
+        ("clt", '"n":0,"reps":20', "n must be >= 1, got 0"),
+        ("clt", '"n":-3,"reps":20', "n must be >= 1, got -3"),
+        ("clt", '"n":50,"reps":0', "reps must be >= 1, got 0"),
+        ("clt", '"n":0,"reps":0', "reps must be >= 1, got 0"),
+        ("bootstrap", '"n":50,"B":0', "B must be >= 1, got 0"),
+        ("bootstrap", '"n":50,"B":-1', "B must be >= 1, got -1"),
+        ("bootstrap", '"n":0,"B":0', "n must be >= 1, got 0"),
+    ])
+    def test_size_is_refused_before_the_variance(self, capsys, monkeypatch,
+                                                 command, sizes, message):
+        # sigma^2 and the population risk were integrated, and the base
+        # sample drawn, before n or B was refused
+        def no_variance(*args):
+            raise AssertionError("the variance was integrated")
+
+        monkeypatch.setattr(harness, "asymptotic_variance", no_variance)
+        code, out, err = run_cli(capsys, command, "--seed", "1", "--config",
+                                 "{%s,%s}" % (self.LAW, sizes))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestErrorPaths:
