@@ -201,10 +201,12 @@ def sample_from(
     dist: ReferenceDistribution, gen: np.random.Generator, n: int
 ) -> np.ndarray:
     """Inverse-transform draws at 1 - U, which lies in (0, 1) for every
-    U > 0; U = 0 is read as the smallest U > 0, so no draw is infinite."""
-    u = 1.0 - gen.random(n)
+    U > 0; U = 0 is read as the smallest U > 0, so no draw is infinite.
+    1 - U, the clamp and the law's map all run in place on the draw."""
+    u = gen.random(n)
+    np.subtract(1.0, u, out=u)
     np.minimum(u, BELOW_ONE, out=u)
-    return np.asarray(dist.quantile(u), dtype=np.float64)
+    return dist.quantile_in_place(u)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +447,9 @@ def consistency_sweep(
     """
     if list(n_grid) != sorted(n_grid) or len(n_grid) < 1:
         raise DomainError("n_grid must be a non-empty non-decreasing sequence")
+    if not 0.0 < min_pass_fraction <= 1.0:
+        raise DomainError(
+            f"min_pass_fraction must lie in (0, 1], got {min_pass_fraction}")
     started = time.perf_counter()
     per_n, _ = _class_errors(cls, dist, n_grid, reps, rng)
     rows = [
@@ -481,6 +486,10 @@ def rate_experiment(
     """
     if len(set(n_grid)) < 2:
         raise DomainError("rate fit needs at least two distinct sample sizes")
+    if slope_band is not None and not slope_band[0] <= slope_band[1]:
+        raise DomainError(
+            f"slope_band must be [low, high] with low <= high, "
+            f"got {list(slope_band)}")
     started = time.perf_counter()
     per_n, targets = _class_errors(cls, dist, n_grid, reps, rng)
     medians = np.array([float(np.median(errs)) for errs in per_n])

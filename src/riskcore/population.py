@@ -107,30 +107,41 @@ class ReferenceDistribution:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, u: Floats) -> Floats:
-        u = np.asarray(u, dtype=np.float64)
-        if ((u <= 0.0) | (u > 1.0)).any():
+        u = np.array(u, dtype=np.float64)  # a copy: the map runs in place
+        # NaN fails every comparison, so the test is written to refuse it
+        if not ((u > 0.0) & (u <= 1.0)).all():
             raise AlphaOutOfRange("quantile argument must lie in (0, 1]")
+        out = self.quantile_in_place(u)
+        return float(out) if out.ndim == 0 else out
+
+    def quantile_in_place(self, u: np.ndarray) -> np.ndarray:
+        """The quantile at each entry of the float64 array u, written over
+        u and returned. Unchecked: the caller keeps u in (0, 1]."""
+        p = self.params
         if self.kind == "uniform":
-            a, b = self.params["a"], self.params["b"]
-            out = a + u * (b - a)
+            u *= p["b"] - p["a"]
+            u += p["a"]
         elif self.kind == "normal":
             from scipy.special import ndtri
 
-            out = self.params["mean"] + self.params["sd"] * ndtri(u)
+            ndtri(u, out=u)
+            u *= p["sd"]
+            u += p["mean"]
         elif self.kind == "exponential":
             # u = 1 is the law's +inf, as ndtri gives it for the normal
             with np.errstate(divide="ignore"):
-                out = -np.log1p(-u) / self.params["rate"]
+                np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
+            u /= p["rate"]
         else:
-            out = np.full_like(u, self.params["c"])
-        return float(out) if out.ndim == 0 else out
+            u.fill(p["c"])
+        return u
 
     # -- exact integral helpers --------------------------------------------
 
     def quantile_primitive(self, t: Floats) -> Floats:
         """Integral of the quantile over [0, t], in closed form."""
         t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN is refused too
             raise AlphaOutOfRange("quantile primitive needs t in [0, 1]")
         if self.kind == "uniform":
             a, b = self.params["a"], self.params["b"]

@@ -29,6 +29,7 @@ from riskcore import (
     linear_spectrum,
     mixture_estimate,
     population_es,
+    population_spectral_risk,
     rate_experiment,
     recover_comonotonic_weights,
     robust_sup,
@@ -38,7 +39,8 @@ from riskcore import (
     uniform_spectrum,
 )
 from riskcore.asymptotics import asymptotic_variance, influence_table
-from riskcore.quadrature import adaptive_simpson
+from riskcore.harness import sample_from
+from riskcore.quadrature import adaptive_simpson, integrate_piecewise
 from conftest import draw_monotone_simplex, draw_simplex
 
 UNIFORM01 = ReferenceDistribution("uniform", a=0.0, b=1.0)
@@ -266,6 +268,50 @@ def test_criterion_09_rate(rate_report):
         "n = 1e2..1e5, 50 reps",
         rate_report.wall_time_s, 180.0,
     )
+
+
+#: J1's quadrature runs between the law's quantiles at J1_EPS and
+#: 1 - J1_EPS; the tails left out are below 2 * sqrt(J1_EPS) on Exp(1)
+J1_EPS = 1e-14
+
+
+def j1(dist: ReferenceDistribution) -> float:
+    """J1(F) = integral of sqrt(F (1 - F)) dx (Bobkov & Ledoux 2019, §3)."""
+    def f(x):
+        F = np.asarray(dist.cdf(x))
+        return np.sqrt(F * (1.0 - F))
+
+    lo, hi = dist.quantile(J1_EPS), dist.quantile(1.0 - J1_EPS)
+    return integrate_piecewise(f, lo, hi, tol=1e-10)
+
+
+@pytest.mark.parametrize("dist, closed", [
+    (UNIFORM01, np.pi / 8), (EXPONENTIAL1, np.pi / 2),
+], ids=["uniform", "exponential"])
+def test_j1_closed_forms(dist, closed):
+    assert j1(dist) == pytest.approx(closed, rel=1e-6)
+
+
+def test_rate_report_meets_the_mean_error_envelope(rate_report):
+    # |rho_hat - rho| <= sup phi * W1(F_n, F) (Pichler 2013), and Jensen on
+    # the integral of |F_n - F| gives E W1 <= J1 / sqrt(n), so the mean error
+    # over reps is at most C * J1 / sqrt(n) at every n; C = sup phi = 1 for
+    # the uniform spectrum. Each replicate is rebuilt from its stream and
+    # tied to the report through the per-n median and maximum.
+    phi = uniform_spectrum()
+    target = population_spectral_risk(NORMAL01, phi)
+    envelope = phi.bound * j1(NORMAL01)
+    rows = rate_report.results["per_n"]
+    for i_n, (n, row) in enumerate(zip(RATE_GRID, rows)):
+        w = np.vstack([canonical_weights(phi, n).weights])
+        errors = []
+        for rep in range(50):
+            gen = RngSpec(1, ((i_n + 1) << 32) | rep).generator()
+            x = sample_from(NORMAL01, gen, n)
+            errors.append(np.abs(w @ -np.sort(x) - target).max())
+        assert row["median_error"] == float(np.median(errors))
+        assert row["max_error"] == float(np.max(errors))
+        assert np.mean(errors) <= envelope / np.sqrt(n)
 
 
 def test_criterion_10_clt(clt_reports):

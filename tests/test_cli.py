@@ -592,6 +592,24 @@ class TestExperiments:
         assert [row["n"] for row in strict_json(out)["results"]["per_n"]] \
             == [5, 5]
 
+    @pytest.mark.parametrize("command, fields, message", [
+        ("consistency", '[10],"threshold":0.5,"min_pass_fraction":5',
+         "min_pass_fraction must lie in (0, 1], got 5.0"),
+        ("consistency", '[10],"threshold":0.5,"min_pass_fraction":-1',
+         "min_pass_fraction must lie in (0, 1], got -1.0"),
+        ("consistency", '[10],"min_pass_fraction":0',
+         "min_pass_fraction must lie in (0, 1], got 0.0"),
+        ("rate", '[10,20],"slope_band":[1,-1]',
+         "slope_band must be [low, high] with low <= high, got [1.0, -1.0]"),
+    ])
+    def test_a_field_that_fixes_the_verdict_is_refused(self, capsys, command,
+                                                       fields, message):
+        # min_pass_fraction 5 always failed and -1 always passed; a
+        # reversed slope_band exited 1 on every input
+        code, out, err = run_cli(capsys, command, "--seed", "1",
+                                 "--config", self.GRID % fields)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     LAW = '"spectrum":{"type":"linear","slope":2},' \
           '"dist":{"type":"normal","mean":0,"sd":1}'
 

@@ -43,6 +43,7 @@ from riskcore.estimators import robust_sup
 from riskcore.population import RISK_TOL
 from riskcore.harness import (
     AXIOM_BLOCK,
+    BELOW_ONE,
     comonotonic_pair,
     kusuoka_grid_gap,
     kusuoka_tightness_gap,
@@ -241,6 +242,23 @@ class TestConsistencySweep:
         with pytest.raises(DomainError):
             consistency_sweep(cls, uniform01, [100, 50], 2, RngSpec(0))
 
+    @pytest.mark.parametrize("fraction", [5.0, 1.5, 0.0, -1.0, np.nan])
+    def test_min_pass_fraction_outside_the_unit_interval_refused(
+            self, uniform01, fraction):
+        # 5 always failed and -1 (or 0) always passed, whatever the errors
+        cls = LipschitzClass([uniform_spectrum()])
+        with pytest.raises(DomainError, match="min_pass_fraction"):
+            consistency_sweep(cls, uniform01, [10], 2, RngSpec(0),
+                              threshold=0.5, min_pass_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 5e-324])
+    def test_min_pass_fraction_in_the_unit_interval_runs(self, uniform01,
+                                                         fraction):
+        cls = LipschitzClass([uniform_spectrum()])
+        report = consistency_sweep(cls, uniform01, [10], 2, RngSpec(0),
+                                   threshold=10.0, min_pass_fraction=fraction)
+        assert report.passed is True
+
     def test_replicate_draws_from_stream_of_its_grid_index_and_rep(
             self, std_normal):
         cls = LipschitzClass([uniform_spectrum(), linear_spectrum(2.0)])
@@ -301,6 +319,21 @@ class TestRateExperiment:
         cls = LipschitzClass([uniform_spectrum()])
         with pytest.raises(DomainError, match="two distinct sample sizes"):
             rate_experiment(cls, std_normal, n_grid, 5, RngSpec(1))
+
+    @pytest.mark.parametrize("band", [(1.0, -1.0), (-0.3, -0.7),
+                                      (np.nan, 0.0)])
+    def test_reversed_slope_band_refused(self, std_normal, band):
+        # a band whose ends are reversed failed on every input
+        cls = LipschitzClass([uniform_spectrum()])
+        with pytest.raises(DomainError, match="slope_band"):
+            rate_experiment(cls, std_normal, [10, 20], 2, RngSpec(1),
+                            slope_band=band)
+
+    def test_one_point_slope_band_runs(self, std_normal):
+        cls = LipschitzClass([uniform_spectrum()])
+        report = rate_experiment(cls, std_normal, [10, 20], 2, RngSpec(1),
+                                 slope_band=(-0.5, -0.5))
+        assert report.passed is (report.results["slope"] == -0.5)
 
     def test_unsorted_grid_runs(self, std_normal):
         cls = LipschitzClass([uniform_spectrum()])
@@ -498,13 +531,34 @@ class TestKusuokaSurrogates:
             kusuoka_grid_gap(x, [0.0], [1.0], 4)
 
 
+#: one law of each kind, with parameters that make each map do work
+SAMPLE_LAWS = {
+    "uniform": ReferenceDistribution("uniform", a=-1.0, b=2.0),
+    "normal": ReferenceDistribution("normal", mean=0.3, sd=2.0),
+    "exponential": ReferenceDistribution("exponential", rate=1.5),
+    "point_mass": ReferenceDistribution("point_mass", c=3.0),
+}
+
+
 class TestSampleFrom:
-    def test_matches_quantile_transform(self, std_normal):
-        gen1 = RngSpec(5).generator()
-        gen2 = RngSpec(5).generator()
-        xs = sample_from(std_normal, gen1, 100)
-        us = 1.0 - gen2.random(100)
-        assert np.array_equal(xs, np.asarray(std_normal.quantile(us)))
+    @pytest.mark.parametrize("n", [1, 100, 2**14 + 1])
+    @pytest.mark.parametrize("law", SAMPLE_LAWS)
+    def test_matches_quantile_transform(self, law, n):
+        # the law map runs in place on the draw; the checked quantile of
+        # the same uniforms is the reference, bit for bit
+        dist = SAMPLE_LAWS[law]
+        xs = sample_from(dist, RngSpec(5).generator(), n)
+        us = np.minimum(1.0 - RngSpec(5).generator().random(n), BELOW_ONE)
+        assert xs.shape == (n,)
+        assert np.array_equal(xs, dist.quantile(us))
+
+    @pytest.mark.parametrize("law", SAMPLE_LAWS)
+    def test_quantile_leaves_its_argument_unchanged(self, law):
+        dist = SAMPLE_LAWS[law]
+        for u in (np.array([0.25, 0.5, 1.0]), np.array(0.75), [0.25, 0.5]):
+            before = np.array(u, copy=True)
+            dist.quantile(u)
+            assert np.array_equal(u, before)
 
     @pytest.mark.parametrize("law", ["std_normal", "exponential1"])
     def test_a_zero_uniform_draw_is_finite(self, request, law):

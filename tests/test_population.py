@@ -56,6 +56,18 @@ class TestAccessors:
               - np.asarray(dist.survival_primitive(x - h))) / (2 * h)
         assert np.max(np.abs(fd + (1.0 - np.asarray(dist.cdf(x))))) < 1e-6
 
+    @pytest.mark.parametrize("name", ALL_KINDS + ["point_mass3"])
+    @pytest.mark.parametrize("nan", [np.nan, np.array([0.5, np.nan])],
+                             ids=["scalar", "array"])
+    def test_nan_is_out_of_range(self, request, name, nan):
+        # NaN fails every comparison, so it passed both range checks: the
+        # quantile was NaN (c on a point mass at c), and so was the primitive
+        dist = request.getfixturevalue(name)
+        with pytest.raises(AlphaOutOfRange):
+            dist.quantile(nan)
+        with pytest.raises(AlphaOutOfRange):
+            dist.quantile_primitive(nan)
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             ReferenceDistribution("uniform", a=1.0, b=1.0)
