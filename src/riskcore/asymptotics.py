@@ -29,27 +29,21 @@ INFLUENCE_TOL = 1e-8
 
 @dataclass
 class RngSpec:
-    """Counter-based RNG identity: (seed, stream_id) fully determines the
-    draw sequence on every platform, so a replicate that owns its stream
-    draws the same values wherever it sits in a run.
-
-    Only generator() and check_axioms read stream_id. The experiment
-    drivers and bootstrap_distribution draw from streams() at fixed
-    stream ids, so they give the same output for every stream_id.
-    """
+    """Counter-based RNG identity: the seed fully determines every draw
+    sequence on every platform. Each experiment names its streams by a
+    fixed layout of stream ids, so a replicate that owns its stream draws
+    the same values wherever it sits in a run."""
 
     seed: int
-    stream_id: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not (0 <= int(v) < 2**64):
-                raise DomainError(f"{name} must be a 64-bit unsigned integer")
+        if not (0 <= int(self.seed) < 2**64):
+            raise DomainError("seed must be a 64-bit unsigned integer")
 
     def streams(self) -> Callable[[int], np.random.Generator]:
-        """stream(i) -> a generator that draws exactly what
-        RngSpec(seed, i).generator() draws, for any 64-bit stream id i.
+        """stream(i) -> a generator that draws exactly what a new
+        Generator(Philox(key=(i << 64) | seed)) draws, for any 64-bit
+        stream id i.
 
         Philox is keyed, not seeded, so another stream needs a new key and
         not a new generator. The closure holds one Philox and one
@@ -82,9 +76,6 @@ class RngSpec:
             return gen
 
         return stream
-
-    def generator(self) -> np.random.Generator:
-        return self.streams()(int(self.stream_id))
 
 
 #: sample values the replicate kernel sorts and negates at once; a
@@ -169,26 +160,6 @@ def influence_function(
     return float(out) if xs.ndim == 0 else out
 
 
-def influence_table(
-    phi: Spectrum, dist: ReferenceDistribution
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Tabulate u -> IF(q(u)) on a graded grid.
-
-    Because IF(x) depends on x only through F(x), Monte Carlo over X is
-    Monte Carlo over uniform draws pushed through this table; that is
-    what makes 10^6-draw variance checks affordable.
-    """
-    lo, hi = INFLUENCE_EDGE, 1.0 - INFLUENCE_EDGE
-    pieces = [
-        np.geomspace(lo, 0.01, 8_000),
-        np.linspace(0.01, 0.99, 80_000),
-        1.0 - np.geomspace(lo, 0.01, 8_000)[::-1],
-    ]
-    grid = np.unique(np.concatenate(pieces + [np.asarray(phi.breakpoints)]))
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    return grid, influence_function(phi, dist, dist.quantile(grid))
-
-
 def asymptotic_variance(phi: Spectrum, dist: ReferenceDistribution) -> float:
     """CLT variance of the canonical spectral plug-in estimator.
 
@@ -236,9 +207,8 @@ def bootstrap_distribution(
 ) -> np.ndarray:
     """B values of sqrt(n) * (rho_hat(X*) - rho_hat(X)).
 
-    Replicate b draws its indices from stream_id = b + 1 of the given
-    seed; the data-drawing caller conventionally keeps stream 0 for
-    itself.
+    Replicate b draws its indices from stream b + 1 of the given seed;
+    the data-drawing caller conventionally keeps stream 0 for itself.
     """
     if B < 1:
         raise DomainError(f"B must be >= 1, got {B}")

@@ -15,7 +15,8 @@ import math
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Iterable, List, NoReturn, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -50,6 +51,10 @@ ORACLE_TIMEOUT_S = 60.0
 
 #: request text an oracle batch holds unsent, beyond one request line
 REQUEST_BUFFER_BYTES = 1 << 16
+
+#: bytes an oracle reply line may hold before its newline; a float64
+#: needs at most 24
+REPLY_MAX_BYTES = 1 << 12
 
 
 def fmt(value: float) -> str:
@@ -254,7 +259,8 @@ class SubprocessOracle:
     The protocol is pipelined: replies must come one per line and in
     request order, and the oracle may receive its next request before its
     last reply is read. A process that takes longer than ORACLE_TIMEOUT_S
-    over any one reply is killed and reported as an OracleFailure."""
+    over any one reply, or whose reply line exceeds REPLY_MAX_BYTES, is
+    killed and reported as an OracleFailure."""
 
     def __init__(self, command: str):
         import shlex
@@ -277,7 +283,10 @@ class SubprocessOracle:
         self._to = self.proc.stdin.fileno()
         self._from = self.proc.stdout.fileno()
         os.set_blocking(self._to, False)
-        self._pending = b""
+        # reply bytes not yet parsed, and how many of the first of them are
+        # known to hold no line break
+        self._pending = bytearray()
+        self._scanned = 0
 
     def __call__(self, values: np.ndarray) -> float:
         return float(self.batch([values])[0])
@@ -341,17 +350,25 @@ class SubprocessOracle:
 
     def _read_replies(self, replies: List[float], requested: int) -> None:
         """Read what the oracle has written and parse every complete reply
-        line, up to `requested` replies in all."""
+        line, up to `requested` replies in all. The search for a line
+        break resumes where the last read left it, so every byte is
+        scanned once."""
         chunk = os.read(self._from, 1 << 16)
         if not chunk:
             if not self._pending:
                 raise OracleFailure("oracle process closed its output stream")
             chunk = b"\n"  # a last reply without its newline
-        buf = self._pending + chunk
-        start = 0
+        buf = self._pending
+        buf += chunk
+        start, scan = 0, self._scanned
         while len(replies) < requested:
-            end = buf.find(b"\n", start)
+            end = buf.find(b"\n", scan)
+            if (len(buf) if end < 0 else end) - start > REPLY_MAX_BYTES:
+                self.proc.kill()
+                raise OracleFailure(
+                    f"oracle reply exceeds {REPLY_MAX_BYTES} bytes")
             if end < 0:
+                scan = len(buf)
                 break
             text = buf[start:end].decode("utf-8", "replace").strip()
             try:
@@ -360,8 +377,9 @@ class SubprocessOracle:
                 raise OracleFailure(
                     f"oracle replied with a non-number: {text!r}"
                 ) from None
-            start = end + 1
-        self._pending = buf[start:]
+            start = scan = end + 1
+        del buf[:start]
+        self._scanned = scan - start
 
     def close(self) -> None:
         import subprocess
@@ -499,10 +517,19 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error reported as one `error:` line and exit
+    2, as every other malformed input is; its subparsers are built from
+    the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riskcore",
         description="Coherent risk estimation toolkit: estimators, "
         "weight algebra, and asymptotic diagnostics.",

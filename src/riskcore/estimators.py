@@ -4,7 +4,7 @@ black-box weight recovery for comonotonic law-invariant estimators."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,16 +71,13 @@ def robust_sup(M: RepresentingSet, x: Sample) -> Tuple[float, int]:
 
 
 def kusuoka_plugin(
-    M: RepresentingSet, es_values: Union[Sample, Sequence[float]]
+    M: RepresentingSet, es_values: Sequence[float]
 ) -> Tuple[float, int]:
     """Supremum of mixture vertices applied to per-level ES estimates.
 
-    es_values[i] estimates the expected shortfall at level (i+1)/n.
-    Passing a Sample uses the default estimator, the discrete ES profile
-    of the sample; alternative estimators are injected as a plain vector.
+    es_values[i] estimates the expected shortfall at level (i+1)/n, for
+    example discrete_es_profile(x)[i].
     """
-    if isinstance(es_values, Sample):
-        es_values = discrete_es_profile(es_values)
     es = np.asarray(es_values, dtype=np.float64)
     if M.n != es.size:
         raise LengthMismatch(f"vertices have length {M.n}, ES values {es.size}")

@@ -20,19 +20,14 @@ from .asymptotics import (
     kolmogorov_distance,
     truncated_kolmogorov,
 )
-from .core import SCHEMA, RepresentingSet, Sample, ceil_level
+from .core import SCHEMA, Sample
 from .errors import (
     DegenerateFit,
     DegenerateVariance,
     DomainError,
     NotLipschitz,
 )
-from .estimators import (
-    Oracle,
-    discrete_es_profile,
-    kusuoka_plugin,
-    oracle_values,
-)
+from .estimators import Oracle, oracle_values
 from .population import (
     ReferenceDistribution,
     distribution_from_json,
@@ -241,7 +236,7 @@ class AxiomReport:
 
     axioms maps each tested axiom to its pass flag; counterexamples holds,
     per failed axiom, the first violating trial with inputs and both
-    sides; counterexample is the first of those in axiom order.
+    sides.
     """
 
     passed: bool
@@ -249,13 +244,6 @@ class AxiomReport:
     n: int
     axioms: dict
     counterexamples: dict
-
-    @property
-    def counterexample(self) -> Optional[dict]:
-        for name in self.axioms:
-            if name in self.counterexamples:
-                return self.counterexamples[name]
-        return None
 
     def to_dict(self) -> dict:
         out = {
@@ -281,7 +269,7 @@ def check_axioms(
     """Randomized verification of the coherence axioms.
 
     Every axiom is tested `trials` times at tolerance 1e-9 * (1 + scale),
-    each axiom on its own RNG stream; an axiom stops at its first
+    the j-th axiom on stream j of the seed; an axiom stops at its first
     violation, which is recorded as a concrete counterexample. Trials go
     to the oracle in blocks of AXIOM_BLOCK, so it may also be asked about
     the rest of the violating trial's block. Law invariance and
@@ -388,9 +376,7 @@ def check_axioms(
     counterexamples: dict = {}
     stream = rng.streams()
     for idx, (name, draw, relation, rhs_of) in enumerate(checks):
-        counter = first_violation(
-            draw, relation, rhs_of, stream((rng.stream_id * 8 + idx) % 2**64)
-        )
+        counter = first_violation(draw, relation, rhs_of, stream(idx))
         axioms[name] = counter is None
         if counter is not None:
             counter["axiom"] = name
@@ -443,10 +429,13 @@ def consistency_sweep(
     """Worst-over-class estimation error against population values, per n.
 
     The pass flag (when a threshold is given) asks that at the largest n
-    at least min_pass_fraction of the reps beat the threshold.
+    at least min_pass_fraction of the reps beat the threshold; no error
+    beats a threshold <= 0, so one is refused.
     """
     if list(n_grid) != sorted(n_grid) or len(n_grid) < 1:
         raise DomainError("n_grid must be a non-empty non-decreasing sequence")
+    if threshold is not None and not threshold > 0.0:
+        raise DomainError(f"threshold must be > 0, got {threshold}")
     if not 0.0 < min_pass_fraction <= 1.0:
         raise DomainError(
             f"min_pass_fraction must lie in (0, 1], got {min_pass_fraction}")
@@ -540,11 +529,14 @@ def clt_check(
     threshold: float = 0.05,
 ) -> ExperimentReport:
     """Kolmogorov distance of sqrt(n)-scaled estimation errors to the
-    normal limit with the plug-in asymptotic variance."""
+    normal limit with the plug-in asymptotic variance. The distance lies
+    in [0, 1], so a threshold outside (0, 1] would fix the verdict."""
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if not 0.0 < threshold <= 1.0:
+        raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
     started = time.perf_counter()
     sigma2 = _gate_clt_inputs(phi, dist)
     target = population_spectral_risk(dist, phi)
@@ -579,6 +571,8 @@ def bootstrap_check(
         raise DomainError(f"n must be >= 1, got {n}")
     if B < 1:
         raise DomainError(f"B must be >= 1, got {B}")
+    if not 0.0 < threshold <= 1.0:
+        raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
     started = time.perf_counter()
     sigma2 = _gate_clt_inputs(phi, dist)
     sample = Sample(sample_from(dist, rng.streams()(0), n))
@@ -600,65 +594,3 @@ def bootstrap_check(
     }
     return _report("bootstrap", (phi, dist, n, B, threshold, grid_m), results,
                    passed, rng, started)
-
-
-# ---------------------------------------------------------------------------
-# Kusuoka plug-in surrogates
-# ---------------------------------------------------------------------------
-
-def kusuoka_tightness_gap(
-    M: RepresentingSet, x: Sample, delta: float
-) -> Tuple[float, float]:
-    """Effect of censoring mixture mass below level delta.
-
-    Returns (gap, bound): the change of the plug-in value when every
-    vertex's mass on levels k/n <= delta is removed and the vertex is
-    renormalised, and the envelope bound (C + 1) * ||x||_inf * eps with
-    C = 1 and eps the largest censored mass.
-    """
-    es = discrete_es_profile(x)
-    full, _ = kusuoka_plugin(M, es)
-    levels = np.arange(1, M.n + 1, dtype=np.float64) / M.n
-    keep = levels > delta
-    if not np.any(keep):
-        raise DomainError("censoring removed every level")
-    censored = M.vertices * keep
-    kept_mass = censored.sum(axis=1)
-    if np.any(kept_mass <= 0.0):
-        raise DomainError("a vertex lost all of its mass to censoring")
-    censored = censored / kept_mass[:, None]
-    cens_value = float(np.max(censored @ es))
-    eps = float(np.max(1.0 - kept_mass))
-    bound = 2.0 * float(np.max(np.abs(x.values))) * eps
-    return abs(full - cens_value), bound
-
-
-def kusuoka_grid_gap(
-    x: Sample, atom_levels: Sequence[float], atom_masses: Sequence[float], m: int
-) -> Tuple[float, float]:
-    """Effect of refining the level grid from mesh 1/m to 1/(2m).
-
-    The mixture atoms sit at arbitrary levels in (0, 1]; each grid maps
-    an atom to the discrete-ES level ceil(grid * level) / grid. Returns
-    (gap, bound) where bound is the exact transported modulus
-    sum_j nu_j |dES difference between the two assigned levels|.
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    levels = np.asarray(atom_levels, dtype=np.float64)
-    masses = np.asarray(atom_masses, dtype=np.float64)
-    if np.any(levels <= 0.0) or np.any(levels > 1.0):
-        raise DomainError("atom levels must lie in (0, 1]")
-    es = discrete_es_profile(x)
-    n = x.n
-
-    def assigned(grid: int) -> np.ndarray:
-        j = ceil_level(grid, levels)
-        # k = ceil(n * j / grid) in exact integer arithmetic
-        k = np.minimum(-((-n * j) // grid), n)
-        return es[k - 1]
-
-    coarse, fine = assigned(m), assigned(2 * m)
-    gap = abs(float(np.dot(masses, coarse)) - float(np.dot(masses, fine)))
-    bound = float(np.dot(masses, np.abs(coarse - fine)))
-    return gap, bound

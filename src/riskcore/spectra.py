@@ -31,8 +31,7 @@ class Spectrum:
     jump). Construction refuses, on a 10^4-point grid, a density that
     rises, leaves [0, bound] or moves faster than lipschitz.
     breakpoints lists interior kinks/jumps so quadrature never straddles
-    them. An exact primitive is attached for every built-in kind; a
-    custom density without one gets quadrature's running integral.
+    them. primitive is the exact Phi(t), the integral of phi over [0, t].
     """
 
     def __init__(
@@ -42,7 +41,7 @@ class Spectrum:
         bound: float,
         lipschitz: Optional[float],
         density: Callable[[np.ndarray], np.ndarray],
-        primitive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        primitive: Callable[[np.ndarray], np.ndarray],
         breakpoints: Sequence[float] = (),
     ):
         self.kind = kind
@@ -51,19 +50,6 @@ class Spectrum:
         self.lipschitz = None if lipschitz is None else float(lipschitz)
         self.breakpoints = tuple(breakpoints)
         self._density = density
-        if primitive is None:
-            def primitive(t: np.ndarray) -> np.ndarray:
-                # a custom density's running integral, cut at every t so
-                # that each value meets the tolerance; imported here, as the
-                # built-in kinds are built on cold calls with no integrator
-                from .quadrature import DEFAULT_MAX_EVALS, running_integral
-
-                cuts = np.append(t, self.breakpoints).tolist()
-                # each cut needs a panel of its own: the budget grows with them
-                return running_integral(
-                    density, 0.0, 1.0, cuts, 1e-10, DEFAULT_MAX_EVALS + 30 * t.size
-                )(t)
-
         self._primitive = primitive
         self._validate()
 
@@ -217,11 +203,7 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
 
 
 def canonical_weights(phi: Spectrum, n: int) -> WeightVector:
-    """Canonical discretisation a_i = Phi(i/n) - Phi((i-1)/n).
-
-    Custom spectra difference their running-integral primitive, which
-    integrates once over all the grid's intervals.
-    """
+    """Canonical discretisation a_i = Phi(i/n) - Phi((i-1)/n)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     grid = np.arange(n + 1, dtype=np.float64) / n

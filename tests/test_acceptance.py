@@ -38,10 +38,11 @@ from riskcore import (
     t_map,
     uniform_spectrum,
 )
-from riskcore.asymptotics import asymptotic_variance, influence_table
+from riskcore.asymptotics import asymptotic_variance
 from riskcore.harness import sample_from
 from riskcore.quadrature import adaptive_simpson, integrate_piecewise
 from conftest import draw_monotone_simplex, draw_simplex
+from helpers import influence_table, keyed_philox
 
 UNIFORM01 = ReferenceDistribution("uniform", a=0.0, b=1.0)
 NORMAL01 = ReferenceDistribution("normal", mean=0.0, sd=1.0)
@@ -228,7 +229,7 @@ def test_criterion_07_asymptotic_variance():
     for idx, (phi, dist) in enumerate(pairs):
         sigma2 = asymptotic_variance(phi, dist)
         grid, table = influence_table(phi, dist)
-        draws = np.interp(RngSpec(7, idx + 1).generator().random(1_000_000),
+        draws = np.interp(keyed_philox(7, idx + 1).random(1_000_000),
                           grid, table)
         var = float(draws.var(ddof=1))
         centered = draws - draws.mean()
@@ -306,7 +307,7 @@ def test_rate_report_meets_the_mean_error_envelope(rate_report):
         w = np.vstack([canonical_weights(phi, n).weights])
         errors = []
         for rep in range(50):
-            gen = RngSpec(1, ((i_n + 1) << 32) | rep).generator()
+            gen = keyed_philox(1, ((i_n + 1) << 32) | rep)
             x = sample_from(NORMAL01, gen, n)
             errors.append(np.abs(w @ -np.sort(x) - target).max())
         assert row["median_error"] == float(np.median(errors))

@@ -19,28 +19,30 @@ from riskcore import (
     uniform_spectrum,
     wasserstein1,
 )
-from riskcore.asymptotics import BLOCK_FLOATS, indexed_map, influence_table
+from riskcore.asymptotics import BLOCK_FLOATS, indexed_map
 from riskcore.errors import DomainError
 from riskcore.harness import bundled_lipschitz_class, sample_from
 from riskcore.quadrature import adaptive_simpson
+from helpers import influence_table, keyed_philox
 
 
 class TestRngSpec:
     def test_deterministic(self):
-        a = RngSpec(42, 0).generator().random(8)
-        b = RngSpec(42, 0).generator().random(8)
+        a = RngSpec(42).streams()(0).random(8)
+        b = RngSpec(42).streams()(0).random(8)
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = RngSpec(42, 0).generator().random(8)
-        b = RngSpec(42, 1).generator().random(8)
+        stream = RngSpec(42).streams()
+        a = stream(0).random(8)
+        b = stream(1).random(8)
         assert not np.array_equal(a, b)
 
     def test_bounds_checked(self):
         with pytest.raises(DomainError):
             RngSpec(-1)
         with pytest.raises(DomainError):
-            RngSpec(0, 2**64)
+            RngSpec(2**64)
 
     DRAWS = {
         "random": lambda g: g.random(9),
@@ -62,14 +64,9 @@ class TestRngSpec:
                                                     leftover):
         stream = RngSpec(seed).streams()
         for i in (0, 1, (3 << 32) | 9, 2**64 - 1):
-            # the key (stream << 64) | seed, as generator() built it
-            # before streams were re-keyed
-            keyed = np.random.Generator(np.random.Philox(key=(i << 64) | seed))
-            expected = self.DRAWS[draw](keyed)
+            expected = self.DRAWS[draw](keyed_philox(seed, i))
             self.LEFTOVERS[leftover](stream(7))
             assert np.array_equal(self.DRAWS[draw](stream(i)), expected)
-            assert np.array_equal(
-                self.DRAWS[draw](RngSpec(seed, i).generator()), expected)
 
 
 class TestIndexedMap:
@@ -162,7 +159,7 @@ class TestBootstrapDistribution:
         w = canonical_weights(phi, n).weights
         base = w @ -np.sort(x.values)
         for b in range(32):
-            idx = RngSpec(9, b + 1).generator().integers(0, n, n)
+            idx = keyed_philox(9, b + 1).integers(0, n, n)
             assert out[b] == np.sqrt(n) * (w @ -np.sort(x.values[idx]) - base)
 
 
@@ -450,7 +447,7 @@ class TestInfluenceMonteCarlo:
         ]
         dist = request.getfixturevalue(dist_name)
         grid, table = influence_table(phi, dist)
-        draws = np.interp(RngSpec(77).generator().random(100_000), grid, table)
+        draws = np.interp(keyed_philox(77, 0).random(100_000), grid, table)
         sigma2 = asymptotic_variance(phi, dist)
         var = float(draws.var(ddof=1))
         centered = draws - draws.mean()

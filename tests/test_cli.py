@@ -33,6 +33,7 @@ DES_ORACLE = f"{sys.executable} {ORACLES / 'des_oracle.py'}"
 STD_ORACLE = f"{sys.executable} {ORACLES / 'std_oracle.py'}"
 SILENT_ORACLE = f"{sys.executable} {ORACLES / 'silent_oracle.py'}"
 PARTIAL_ORACLE = f"{sys.executable} {ORACLES / 'partial_oracle.py'}"
+LONG_REPLY_ORACLE = f"{sys.executable} {ORACLES / 'long_reply_oracle.py'}"
 
 
 @pytest.fixture
@@ -319,6 +320,29 @@ class TestPipelinedOracle:
             assert oracle(np.zeros(3)) == 0.25
             with pytest.raises(OracleFailure):
                 oracle(np.zeros(3))
+
+    def test_a_reply_line_at_the_cap_is_read(self):
+        spaces = cli.REPLY_MAX_BYTES - 1
+        with SubprocessOracle(f"{LONG_REPLY_ORACLE} {spaces}") as oracle:
+            assert oracle.batch([np.zeros(3), np.ones(2)]).tolist() == [1.0, 1.0]
+
+    def test_a_reply_line_past_the_cap_is_refused(self):
+        spaces = cli.REPLY_MAX_BYTES
+        with SubprocessOracle(f"{LONG_REPLY_ORACLE} {spaces}") as oracle:
+            with pytest.raises(OracleFailure, match="^oracle reply exceeds "
+                               "4096 bytes$"):
+                oracle(np.zeros(3))
+
+    def test_a_long_unterminated_reply_is_refused_at_once(self, capsys):
+        # 40 MiB before the line break: a parse that copied the pending
+        # bytes on every read took ~15 s over each reply
+        started = time.monotonic()
+        code, out, err = run_cli(
+            capsys, "recover", "--oracle", f"{LONG_REPLY_ORACLE} {40 << 20}",
+            "--n", "1")
+        assert time.monotonic() - started < 5.0
+        assert (code, out, err) == (
+            2, "", "error: oracle reply exceeds 4096 bytes\n")
 
     def test_unsent_requests_stay_bounded(self, monkeypatch):
         # an oracle that never reads: rows are pulled only to keep about
@@ -632,6 +656,36 @@ class TestExperiments:
         monkeypatch.setattr(harness, "asymptotic_variance", no_variance)
         code, out, err = run_cli(capsys, command, "--seed", "1", "--config",
                                  "{%s,%s}" % (self.LAW, sizes))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("clt", '{%s,"n":50,"reps":20,"threshold":2}' % LAW,
+         "threshold must lie in (0, 1], got 2.0"),
+        ("clt", '{%s,"n":50,"reps":20,"threshold":0}' % LAW,
+         "threshold must lie in (0, 1], got 0.0"),
+        ("clt", '{%s,"n":50,"reps":20,"threshold":-1}' % LAW,
+         "threshold must lie in (0, 1], got -1.0"),
+        ("bootstrap", '{%s,"n":50,"B":20,"threshold":1.5}' % LAW,
+         "threshold must lie in (0, 1], got 1.5"),
+        ("bootstrap", '{%s,"n":50,"B":20,"threshold":0}' % LAW,
+         "threshold must lie in (0, 1], got 0.0"),
+        ("consistency", GRID % '[10],"threshold":0',
+         "threshold must be > 0, got 0.0"),
+        ("consistency", GRID % '[10],"threshold":-1',
+         "threshold must be > 0, got -1.0"),
+    ])
+    def test_a_threshold_that_fixes_the_verdict_is_refused(
+            self, capsys, monkeypatch, command, config, message):
+        # d_K lies in [0, 1], so clt passed every run at threshold 2 and
+        # failed every run at 0; no consistency error is below 0. The
+        # refusal comes before the variance or any draw
+        def no_work(*args):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(harness, "asymptotic_variance", no_work)
+        monkeypatch.setattr(harness, "sample_from", no_work)
+        code, out, err = run_cli(capsys, command, "--seed", "1", "--config",
+                                 config)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

@@ -216,6 +216,20 @@ def samples(tmp_path_factory):
     return paths
 
 
+@pytest.mark.parametrize("argv", [
+    ["weights", "--spectrum", '{"type":"uniform"}', "--n", "abc"],
+    ["nope"],
+    ["weights", "--n", "3"],
+])
+def test_a_malformed_argument_vector_is_one_error_line(argv, capsys):
+    # argparse printed its usage block before the error line
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", sorted(subparsers()))
 def test_every_run_keeps_the_exit_and_stream_contract(command, samples):
     @given(arguments(command, samples))

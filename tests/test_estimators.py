@@ -207,12 +207,6 @@ class TestKusuokaPlugin:
         value, idx = kusuoka_plugin(M, discrete_es_profile(X3))
         assert value == 1.0 and idx == 0
 
-    def test_sample_argument_uses_default_estimator(self):
-        M = RepresentingSet(np.eye(3), sorted_domain=False)
-        assert kusuoka_plugin(M, X3) == kusuoka_plugin(
-            M, discrete_es_profile(X3)
-        )
-
     def test_singleton_matches_mixture_estimate(self):
         mu = Mixture([0.2, 0.3, 0.5])
         M = RepresentingSet([mu], sorted_domain=False)

@@ -14,8 +14,8 @@ The axiom-report literals were produced by the trial-by-trial axiom
 loop, one oracle round trip per evaluation, before trials were sent to
 the oracle in blocks; the shifted_mean and first_entry literals by the
 blocked loop that still judged each trial on its own. The j-th axiom
-checked draws from stream stream_id * 8 + j, now from the one re-keyed
-Philox of its check_axioms call. Their JSON must match byte for byte:
+checked draws from stream j, now from the one re-keyed Philox of its
+check_axioms call. Their JSON must match byte for byte:
 the oracles compute the same floats however the requests are scheduled
 and the verdicts taken.
 """

@@ -45,11 +45,10 @@ from riskcore.harness import (
     AXIOM_BLOCK,
     BELOW_ONE,
     comonotonic_pair,
-    kusuoka_grid_gap,
-    kusuoka_tightness_gap,
     sample_from,
 )
 from conftest import draw_monotone_simplex, draw_simplex, rational_level
+from helpers import keyed_philox, kusuoka_grid_gap, kusuoka_tightness_gap
 
 
 class TestLipschitzClass:
@@ -86,7 +85,7 @@ class TestExperimentFields:
 
 class TestComonotonicPairs:
     def test_defining_inequality(self):
-        gen = RngSpec(9).generator()
+        gen = keyed_philox(9, 0)
         for _ in range(300):
             x, y = comonotonic_pair(gen, 7)
             outer = np.subtract.outer(x, x) * np.subtract.outer(y, y)
@@ -105,7 +104,7 @@ class TestCheckAxioms:
                     exponential_spectrum(5.0)):
             a = canonical_weights(phi, 8)
             report = check_axioms(l_estimator_oracle(a), 8, 400, RngSpec(2))
-            assert report.passed, report.counterexample
+            assert report.passed, report.counterexamples
 
     def test_robust_sup_passes_core_axioms(self):
         gen = np.random.default_rng(6)
@@ -116,7 +115,7 @@ class TestCheckAxioms:
             return robust_sup(M, Sample(values))[0]
 
         report = check_axioms(oracle, 6, 300, RngSpec(3), comonotonic=False)
-        assert report.passed, report.counterexample
+        assert report.passed, report.counterexamples
 
     def test_std_foil_fails_cash_additivity(self):
         foil = lambda v: float(np.std(v, ddof=1))
@@ -270,7 +269,7 @@ class TestConsistencySweep:
             w = np.vstack([canonical_weights(phi, n).weights
                            for phi in cls.members])
             for rep in range(reps):
-                gen = RngSpec(9, ((i_n + 1) << 32) | rep).generator()
+                gen = keyed_philox(9, ((i_n + 1) << 32) | rep)
                 est = w @ -np.sort(sample_from(std_normal, gen, n))
                 assert row["errors"][rep] == np.max(np.abs(est - targets))
 
@@ -290,7 +289,7 @@ class TestConsistencySweep:
             w = np.vstack([canonical_weights(phi, n).weights
                            for phi in cls.members])
             for rep in range(reps):
-                gen = RngSpec(4, ((i_n + 1) << 32) | rep).generator()
+                gen = keyed_philox(4, ((i_n + 1) << 32) | rep)
                 x = sample_from(dist, gen, n)
                 errors = np.abs(w @ -np.sort(x) - targets)
                 assert row["errors"][rep] == errors.max()
@@ -357,7 +356,7 @@ class TestRateExperiment:
                            for phi in cls.members])
             worst = []
             for rep in range(reps):
-                gen = RngSpec(4, ((i_n + 1) << 32) | rep).generator()
+                gen = keyed_philox(4, ((i_n + 1) << 32) | rep)
                 x = sample_from(dist, gen, n)
                 errors = np.abs(w @ -np.sort(x) - targets)
                 worst.append(errors.max())
@@ -402,7 +401,7 @@ class TestCltCheck:
         target = report.results["population_risk"]
         draws = [
             np.sqrt(n) * (w @ -np.sort(sample_from(
-                uniform01, RngSpec(9, rep + 1).generator(), n)) - target)
+                uniform01, keyed_philox(9, rep + 1), n)) - target)
             for rep in range(reps)
         ]
         limit = ReferenceDistribution(
@@ -424,7 +423,7 @@ class TestCltCheck:
                 w = canonical_weights(phi, n).weights
                 estimates = []
                 for rep in range(reps):
-                    x = sample_from(dist, RngSpec(4, rep + 1).generator(), n)
+                    x = sample_from(dist, keyed_philox(4, rep + 1), n)
                     estimates.append(w @ -np.sort(x))
                     w1 = wasserstein1(Sample(x), dist)
                     assert abs(estimates[-1] - target) <= (
@@ -547,8 +546,8 @@ class TestSampleFrom:
         # the law map runs in place on the draw; the checked quantile of
         # the same uniforms is the reference, bit for bit
         dist = SAMPLE_LAWS[law]
-        xs = sample_from(dist, RngSpec(5).generator(), n)
-        us = np.minimum(1.0 - RngSpec(5).generator().random(n), BELOW_ONE)
+        xs = sample_from(dist, keyed_philox(5, 0), n)
+        us = np.minimum(1.0 - keyed_philox(5, 0).random(n), BELOW_ONE)
         assert xs.shape == (n,)
         assert np.array_equal(xs, dist.quantile(us))
 

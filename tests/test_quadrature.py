@@ -182,6 +182,28 @@ class TestRunningIntegral:
         primitive(np.array([0.5, 1.5, 1.0]))
         assert len(points) == built + 1 and points[-1].shape == (2, 15)
 
+    def test_primitive_of_a_density_odd_about_one_half(self):
+        # 1 + 0.9 tanh(c (1/2 - u)) is 1 plus an odd function about 1/2:
+        # one G7K15 panel on [0, 1] integrates it exactly, so a partition
+        # adapted to the whole integral alone would miss partial ones;
+        # cutting at every t makes each value meet the tolerance
+        c = 20.0
+        t = np.linspace(0.0, 1.0, 21)
+        primitive = running_integral(
+            lambda u: 1.0 + 0.9 * np.tanh(c * (0.5 - u)), 0.0, 1.0,
+            t.tolist(), 1e-10, DEFAULT_MAX_EVALS + 30 * t.size)
+        exact = t + 0.9 / c * (
+            np.log(np.cosh(0.5 * c)) - np.log(np.cosh(c * (0.5 - t)))
+        )
+        assert np.max(np.abs(primitive(t) - exact)) <= 1e-12
+
+
+class TestAdaptiveSimpson:
+    def test_budget_exhaustion_raises(self):
+        with pytest.raises(QuadratureFailure):
+            adaptive_simpson(lambda u: np.sin(50 * u), 0.0, 1.0, tol=1e-14,
+                             max_evals=9)
+
 
 def test_private_quadrature_names_stay_inside():
     """No riskcore module but quadrature names a _-prefixed name of it."""

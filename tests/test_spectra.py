@@ -18,14 +18,7 @@ from riskcore import (
     step_spectrum,
     uniform_spectrum,
 )
-from riskcore.errors import (
-    DomainError,
-    NotLipschitz,
-    NotMonotone,
-    NotNormalised,
-    QuadratureFailure,
-)
-from riskcore.quadrature import adaptive_simpson
+from riskcore.errors import DomainError, NotLipschitz, NotMonotone, NotNormalised
 from riskcore.core import WeightVector, ceil_level
 from riskcore.spectra import spectrum_to_json
 from conftest import draw_monotone_simplex, rational_level
@@ -335,50 +328,6 @@ class TestPiecewiseLinear:
     def test_rejects_knots_that_are_not_numbers(self, knots):
         with pytest.raises(DomainError, match="knots must be numbers$"):
             piecewise_linear_spectrum(knots)
-
-
-class TestQuadratureFallback:
-    def _custom_linear(self):
-        # same density as linear_spectrum(2) but with no exact primitive
-        return Spectrum(
-            kind="piecewise_linear",
-            params={},
-            bound=2.0,
-            lipschitz=2.0,
-            density=lambda u: 2.0 * (1.0 - u),
-            primitive=None,
-        )
-
-    def test_primitive_matches_exact(self):
-        phi = self._custom_linear()
-        exact = linear_spectrum(2.0)
-        for t in (0.0, 0.2, 0.5, 0.9, 1.0):
-            assert phi.primitive(t) == pytest.approx(exact.primitive(t), abs=1e-9)
-
-    def test_canonical_weights_match_exact(self):
-        w = canonical_weights(self._custom_linear(), 4)
-        exact = canonical_weights(linear_spectrum(2.0), 4)
-        assert np.allclose(w.weights, exact.weights, atol=1e-9)
-
-    def test_primitive_of_a_density_odd_about_one_half(self):
-        # 1 + 0.9 tanh(c (1/2 - u)) is 1 plus an odd function about 1/2:
-        # one G7K15 panel on [0, 1] integrates it exactly, so a partition
-        # adapted to the whole integral alone would miss partial ones
-        c = 20.0
-        phi = Spectrum(
-            kind="tanh", params={}, bound=1.9, lipschitz=0.9 * c,
-            density=lambda u: 1.0 + 0.9 * np.tanh(c * (0.5 - u)),
-        )
-        t = np.linspace(0.0, 1.0, 21)
-        exact = t + 0.9 / c * (
-            np.log(np.cosh(0.5 * c)) - np.log(np.cosh(c * (0.5 - t)))
-        )
-        assert np.max(np.abs(phi.primitive(t) - exact)) <= 1e-12
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(QuadratureFailure):
-            adaptive_simpson(lambda u: np.sin(50 * u), 0.0, 1.0, tol=1e-14,
-                             max_evals=9)
 
 
 class TestValidation:
