@@ -11,7 +11,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .core import Sample
-from .errors import DomainError, NonFiniteVariance
+from .errors import RiskError
 from .population import ReferenceDistribution
 from .quadrature import DEFAULT_MAX_EVALS, integrate_piecewise, running_integral
 from .spectra import Floats, Spectrum, canonical_weights
@@ -38,7 +38,7 @@ class RngSpec:
 
     def __post_init__(self) -> None:
         if not (0 <= int(self.seed) < 2**64):
-            raise DomainError("seed must be a 64-bit unsigned integer")
+            raise RiskError("seed must be a 64-bit unsigned integer")
 
     def streams(self) -> Callable[[int], np.random.Generator]:
         """stream(i) -> a generator that draws exactly what a new
@@ -116,7 +116,7 @@ def _spectrum_at_cdf(
     variance quadrature happens in x-space for that reason.
     """
     if dist.kind == "point_mass":
-        raise DomainError("influence analysis needs a distribution with a density")
+        raise RiskError("influence analysis needs a distribution with a density")
 
     def phi_f(t: np.ndarray) -> np.ndarray:
         return phi.density(np.clip(dist.cdf(t), 1e-300, 1.0))
@@ -196,9 +196,9 @@ def asymptotic_variance(phi: Spectrum, dist: ReferenceDistribution) -> float:
         outer, lo_x, hi_x, breakpoints=cuts, tol=eff_tol
     )
     if not math.isfinite(total):
-        raise NonFiniteVariance("variance integrand diverged")
+        raise RiskError("variance integrand diverged")
     if total < -1e-10:
-        raise NonFiniteVariance(f"variance integral came out negative: {total}")
+        raise RiskError(f"variance integral came out negative: {total}")
     return max(total, 0.0)
 
 
@@ -211,7 +211,7 @@ def bootstrap_distribution(
     the data-drawing caller conventionally keeps stream 0 for itself.
     """
     if B < 1:
-        raise DomainError(f"B must be >= 1, got {B}")
+        raise RiskError(f"B must be >= 1, got {B}")
     weights = canonical_weights(phi, x.n).weights
     values = x.values
     base = float(np.dot(weights, -np.sort(values)))
@@ -247,7 +247,7 @@ def truncated_kolmogorov(
     the grid ends and the points k/m next to each order statistic are
     evaluated, never the whole grid."""
     if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+        raise RiskError(f"m must be >= 1, got {m}")
     xs = np.sort(sample.values)
     near = np.floor(np.clip(xs, -m - 1, m + 1) * m).astype(np.int64)
     k = np.append((near[:, None] + np.arange(-1, 3)).ravel(), [-m * m, m * m])

@@ -32,7 +32,7 @@ from .core import (
     t_inverse,
     t_map,
 )
-from .errors import OracleFailure, RiskError
+from .errors import RiskError
 from .estimators import (
     discrete_es,
     l_estimate,
@@ -260,7 +260,7 @@ class SubprocessOracle:
     request order, and the oracle may receive its next request before its
     last reply is read. A process that takes longer than ORACLE_TIMEOUT_S
     over any one reply, or whose reply line exceeds REPLY_MAX_BYTES, is
-    killed and reported as an OracleFailure."""
+    killed. These, and a reply beyond the requests, raise RiskError."""
 
     def __init__(self, command: str):
         import shlex
@@ -287,6 +287,9 @@ class SubprocessOracle:
         # known to hold no line break
         self._pending = bytearray()
         self._scanned = 0
+        # False while a batch is open and after one failed: replies may
+        # then still be owed, so output is not counted as extra
+        self._in_step = True
 
     def __call__(self, values: np.ndarray) -> float:
         return float(self.batch([values])[0])
@@ -308,6 +311,7 @@ class SubprocessOracle:
         requested = 0
         refused: Optional[RiskError] = None
         deadline = time.monotonic() + ORACLE_TIMEOUT_S
+        self._in_step = False
         try:
             while True:
                 while refused is None and len(unsent) < REQUEST_BUFFER_BYTES:
@@ -332,7 +336,7 @@ class SubprocessOracle:
                 )
                 if remaining <= 0 or not (readable or writable):
                     self.proc.kill()
-                    raise OracleFailure(
+                    raise RiskError(
                         f"oracle did not answer within {ORACLE_TIMEOUT_S:g} s"
                     )
                 if writable:
@@ -343,7 +347,10 @@ class SubprocessOracle:
                     if len(replies) > before:
                         deadline = time.monotonic() + ORACLE_TIMEOUT_S
         except OSError as exc:
-            raise OracleFailure(f"oracle process failed: {exc}") from exc
+            raise RiskError(f"oracle process failed: {exc}") from exc
+        if b"\n" in self._pending:
+            raise RiskError("oracle wrote more replies than requests")
+        self._in_step = True
         if refused is not None:
             raise refused
         return np.array(replies, dtype=np.float64)
@@ -356,7 +363,7 @@ class SubprocessOracle:
         chunk = os.read(self._from, 1 << 16)
         if not chunk:
             if not self._pending:
-                raise OracleFailure("oracle process closed its output stream")
+                raise RiskError("oracle process closed its output stream")
             chunk = b"\n"  # a last reply without its newline
         buf = self._pending
         buf += chunk
@@ -365,7 +372,7 @@ class SubprocessOracle:
             end = buf.find(b"\n", scan)
             if (len(buf) if end < 0 else end) - start > REPLY_MAX_BYTES:
                 self.proc.kill()
-                raise OracleFailure(
+                raise RiskError(
                     f"oracle reply exceeds {REPLY_MAX_BYTES} bytes")
             if end < 0:
                 scan = len(buf)
@@ -374,7 +381,7 @@ class SubprocessOracle:
             try:
                 replies.append(float(text))
             except ValueError:
-                raise OracleFailure(
+                raise RiskError(
                     f"oracle replied with a non-number: {text!r}"
                 ) from None
             start = scan = end + 1
@@ -382,6 +389,7 @@ class SubprocessOracle:
         self._scanned = scan - start
 
     def close(self) -> None:
+        import select
         import subprocess
 
         try:
@@ -393,7 +401,14 @@ class SubprocessOracle:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
+        # unless a batch failed, every reply was read: output left once the
+        # process is gone answers no request; select() keeps the read from
+        # blocking on a pipe that another process holds open
+        extra = self._in_step and (self._pending or bool(select.select(
+            [self._from], [], [], 0)[0] and os.read(self._from, 1)))
         self.proc.stdout.close()
+        if extra:
+            raise RiskError("oracle wrote more replies than requests")
 
     def __enter__(self) -> "SubprocessOracle":
         return self

@@ -12,15 +12,7 @@ from typing import Any, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    DomainError,
-    EmptySet,
-    LengthMismatch,
-    NonFiniteInput,
-    NotMonotone,
-    NotNormalised,
-)
+from .errors import RiskError
 
 #: the schema tag of every JSON document riskcore writes
 SCHEMA = "riskcore/1"
@@ -70,13 +62,13 @@ def number_array(values: object) -> Optional[np.ndarray]:
 def _finite_array(values: ArrayLike, what: str) -> np.ndarray:
     arr = number_array(values)
     if arr is None:
-        raise DomainError(f"{what} must be an array of numbers")
+        raise RiskError(f"{what} must be an array of numbers")
     if arr.ndim != 1:
-        raise NonFiniteInput(f"{what} must be one-dimensional")
+        raise RiskError(f"{what} must be one-dimensional")
     if arr.size < 1:
-        raise NonFiniteInput(f"{what} must contain at least one entry")
+        raise RiskError(f"{what} must contain at least one entry")
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput(f"{what} contains NaN or infinite entries")
+        raise RiskError(f"{what} contains NaN or infinite entries")
     return arr
 
 
@@ -140,12 +132,12 @@ def json_field(
     on the value, whose own errors pass through. Only a JSON number reads
     as int (integral and at most MAX_SIZE: 2000.0 reads as 2000) or float
     (finite), only a JSON boolean as bool; anything else is a one-line
-    DomainError that names the field and the index of the first bad entry
+    RiskError that names the field and the index of the first bad entry
     of a list. An absent field, or a null one with a default of None,
     reads as the default; with no default the field is required."""
     if key not in obj:
         if default is ...:
-            raise DomainError(f"{what} is missing required field {key!r}")
+            raise RiskError(f"{what} is missing required field {key!r}")
         return default
     value = obj[key]
     if value is None and default is None:
@@ -161,7 +153,7 @@ def json_field(
             problem = problem[0] if problem else "has a malformed value"
             message = (f"{what} field {key!r}{at} {problem}: "
                        f"{_shown(bad_value)}")
-        raise DomainError(message) from None
+        raise RiskError(message) from None
 
 
 def _shown(value: object) -> str:
@@ -173,10 +165,10 @@ def json_type(obj: object, kinds: dict, what: str) -> str:
     """The 'type' field of the JSON object `obj` (a `what`), which must be
     a key of kinds."""
     if not isinstance(obj, dict) or "type" not in obj:
-        raise DomainError(f"{what} JSON must be an object with a 'type' field")
+        raise RiskError(f"{what} JSON must be an object with a 'type' field")
     kind = obj["type"]
     if not isinstance(kind, str) or kind not in kinds:
-        raise DomainError(f"unknown {what} type {_shown(kind)}")
+        raise RiskError(f"unknown {what} type {_shown(kind)}")
     return kind
 
 
@@ -190,11 +182,11 @@ def simplex_array(values: ArrayLike, what: str = "weights") -> np.ndarray:
     arr = _finite_array(values, what)
     if np.any(arr < -ENTRY_SLACK):
         worst = float(arr.min())
-        raise NotNormalised(f"{what} has negative entry {worst}")
+        raise RiskError(f"{what} has negative entry {worst}")
     arr = np.clip(arr, 0.0, None)
     total = float(arr.sum())
     if abs(total - 1.0) > SUM_TOL:
-        raise NotNormalised(f"{what} sums to {total}, not 1")
+        raise RiskError(f"{what} sums to {total}, not 1")
     return _as_readonly(arr / total)
 
 
@@ -238,7 +230,7 @@ class WeightVector:
         arr = simplex_array(weights, "weights")
         if monotone and np.any(np.diff(arr) > MONOTONE_SLACK):
             i = int(np.argmax(np.diff(arr)))
-            raise NotMonotone(
+            raise RiskError(
                 f"weights increase at index {i}: {arr[i]} < {arr[i + 1]}"
             )
         self.weights = arr
@@ -283,13 +275,13 @@ class RepresentingSet:
         try:
             vertices = iter(vertices)
         except TypeError:
-            raise NonFiniteInput("vertices must be a list of vectors") from None
+            raise RiskError("vertices must be a list of vectors") from None
         rows = []
         for v in vertices:
             if isinstance(v, WeightVector):
                 arr = v.weights
                 if sorted_domain and not v.monotone:
-                    raise NotMonotone(
+                    raise RiskError(
                         "sorted-domain representing set requires certified "
                         "non-increasing vertices"
                     )
@@ -298,13 +290,13 @@ class RepresentingSet:
             else:
                 arr = simplex_array(v, "vertex")
                 if sorted_domain and np.any(np.diff(arr) > MONOTONE_SLACK):
-                    raise NotMonotone("sorted-domain vertex is not non-increasing")
+                    raise RiskError("sorted-domain vertex is not non-increasing")
             rows.append(arr)
         if not rows:
-            raise EmptySet("representing set has no vertices")
+            raise RiskError("representing set has no vertices")
         n = rows[0].size
         if any(r.size != n for r in rows):
-            raise LengthMismatch("representing-set vertices differ in length")
+            raise RiskError("representing-set vertices differ in length")
         # shape (m, n), rows on the simplex
         self.vertices = _as_readonly(np.vstack(rows))
         self.sorted_domain = bool(sorted_domain)
@@ -344,7 +336,7 @@ def ceil_level(n: int, alpha: Union[float, np.ndarray]) -> Union[int, np.ndarray
 def empirical_quantile(s: SortedSample, alpha: float) -> float:
     """Empirical quantile q_n(alpha) = x_{ceil(n*alpha):n} for alpha in (0, 1]."""
     if not (0.0 < alpha <= 1.0):
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1], got {alpha}")
+        raise RiskError(f"alpha must lie in (0, 1], got {alpha}")
     return float(s.values[ceil_level(s.n, alpha) - 1])
 
 
@@ -356,7 +348,7 @@ def t_map(a: WeightVector) -> Mixture:
     Mixture constructor.
     """
     if not a.monotone:
-        raise NotMonotone("t_map requires a certified non-increasing vector")
+        raise RiskError("t_map requires a certified non-increasing vector")
     w = a.weights
     shifted = np.empty_like(w)
     shifted[:-1] = w[1:]

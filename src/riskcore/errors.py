@@ -1,68 +1,6 @@
-"""Exception hierarchy. Every library error derives from RiskError so the
-CLI can map any of them to a one-line diagnostic and exit code 2."""
+"""The one library error: every refusal raises RiskError, and its message
+is the CLI's one-line diagnostic, which ends in exit code 2."""
 
 
 class RiskError(ValueError):
-    """Base class for all riskcore errors."""
-
-
-class NonFiniteInput(RiskError):
-    """An input value is NaN or infinite."""
-
-
-class AlphaOutOfRange(RiskError):
-    """A tail level alpha lies outside (0, 1]."""
-
-
-class KOutOfRange(RiskError):
-    """A discrete-ES level k lies outside {1, ..., n}."""
-
-
-class NotMonotone(RiskError):
-    """A weight vector lacks (or violates) the non-increasing certificate."""
-
-
-class NotNormalised(RiskError):
-    """A vector that must lie on the probability simplex does not."""
-
-
-class LengthMismatch(RiskError):
-    """Vector lengths disagree where they must match."""
-
-
-class EmptySet(RiskError):
-    """A representing set has no vertices."""
-
-
-class DomainError(RiskError):
-    """An evaluation point lies outside the function's domain."""
-
-
-class QuadratureFailure(RiskError):
-    """Adaptive quadrature could not reach tolerance within its budget."""
-
-
-class NotMonotoneRecovered(RiskError):
-    """Probe recovery produced weights that increase beyond slack; the
-    oracle is not a comonotonic law-invariant coherent risk estimator."""
-
-
-class OracleFailure(RiskError):
-    """An external estimator returned a non-finite or unparsable value."""
-
-
-class NotLipschitz(RiskError):
-    """The spectrum carries no Lipschitz constant but one is required."""
-
-
-class DegenerateFit(RiskError):
-    """A log-log rate fit is undefined because errors vanish."""
-
-
-class DegenerateVariance(RiskError):
-    """The asymptotic variance is (numerically) zero; the limit law is
-    degenerate and the requested diagnostic is meaningless."""
-
-
-class NonFiniteVariance(RiskError):
-    """The variance integrand diverged numerically."""
+    """A riskcore refusal; the message says which check failed."""

@@ -9,13 +9,7 @@ from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .core import Mixture, RepresentingSet, Sample, WeightVector
-from .errors import (
-    KOutOfRange,
-    LengthMismatch,
-    NotMonotoneRecovered,
-    NotNormalised,
-    OracleFailure,
-)
+from .errors import RiskError
 
 #: slack separating float noise from a genuine axiom violation in recovery
 RECOVERY_SLACK = 1e-9
@@ -27,7 +21,7 @@ def discrete_es(x: Sample, k: int) -> float:
     """Discrete expected shortfall at level k/n: the negated average of
     the k smallest sample values."""
     if not (1 <= k <= x.n):
-        raise KOutOfRange(f"k must lie in [1, {x.n}], got {k}")
+        raise RiskError(f"k must lie in [1, {x.n}], got {k}")
     smallest = np.sort(x.values)[:k]
     return -float(smallest.mean())
 
@@ -43,7 +37,7 @@ def l_estimate(a: WeightVector, x: Sample, sorted_domain: bool = True) -> float:
     """Weighted negated sample: sum a_i * (-x_{i:n}) on the sorted domain,
     sum a_i * (-x_i) otherwise."""
     if a.n != x.n:
-        raise LengthMismatch(f"weights have length {a.n}, sample {x.n}")
+        raise RiskError(f"weights have length {a.n}, sample {x.n}")
     vals = np.sort(x.values) if sorted_domain else x.values
     return float(np.dot(a.weights, -vals))
 
@@ -51,7 +45,7 @@ def l_estimate(a: WeightVector, x: Sample, sorted_domain: bool = True) -> float:
 def mixture_estimate(mu: Mixture, x: Sample) -> float:
     """Mixture of discrete expected shortfalls, sum mu_k * dES_{k/n}(x)."""
     if mu.n != x.n:
-        raise LengthMismatch(f"mixture has length {mu.n}, sample {x.n}")
+        raise RiskError(f"mixture has length {mu.n}, sample {x.n}")
     return float(np.dot(mu.masses, discrete_es_profile(x)))
 
 
@@ -63,7 +57,7 @@ def robust_sup(M: RepresentingSet, x: Sample) -> Tuple[float, int]:
     coordinates otherwise.
     """
     if M.n != x.n:
-        raise LengthMismatch(f"vertices have length {M.n}, sample {x.n}")
+        raise RiskError(f"vertices have length {M.n}, sample {x.n}")
     vals = np.sort(x.values) if M.sorted_domain else x.values
     scores = M.vertices @ (-vals)
     idx = int(np.argmax(scores))
@@ -80,7 +74,7 @@ def kusuoka_plugin(
     """
     es = np.asarray(es_values, dtype=np.float64)
     if M.n != es.size:
-        raise LengthMismatch(f"vertices have length {M.n}, ES values {es.size}")
+        raise RiskError(f"vertices have length {M.n}, ES values {es.size}")
     scores = M.vertices @ es
     idx = int(np.argmax(scores))
     return float(scores[idx]), idx
@@ -96,7 +90,7 @@ def recover_comonotonic_weights(oracle: Oracle, n: int) -> WeightVector:
     subtracted so near-estimators degrade gracefully).
     """
     if n < 1:
-        raise KOutOfRange(f"n must be >= 1, got {n}")
+        raise RiskError(f"n must be >= 1, got {n}")
 
     def probes() -> Iterator[np.ndarray]:
         for k in range(n + 1):
@@ -110,13 +104,13 @@ def recover_comonotonic_weights(oracle: Oracle, n: int) -> WeightVector:
     rises = np.diff(a)
     if np.any(rises > RECOVERY_SLACK):
         i = int(np.argmax(rises))
-        raise NotMonotoneRecovered(
+        raise RiskError(
             f"recovered weights increase at index {i}: {a[i]} < {a[i + 1]}; "
             "oracle is not comonotonic law-invariant"
         )
     total = float(a.sum())
     if abs(total - 1.0) > RECOVERY_SLACK:
-        raise NotNormalised(f"recovered weights sum to {total}")
+        raise RiskError(f"recovered weights sum to {total}")
     # inside slack: clamp the float noise, then renormalise exactly
     a = np.minimum.accumulate(np.clip(a, 0.0, None))
     return WeightVector(a / a.sum(), monotone=True)
@@ -124,7 +118,7 @@ def recover_comonotonic_weights(oracle: Oracle, n: int) -> WeightVector:
 
 def oracle_values(oracle: Oracle, rows: Iterable[np.ndarray]) -> np.ndarray:
     """The oracle on every row, in order, as floats; a non-finite value is
-    an OracleFailure. The diagnostic names the sample size, not the
+    a RiskError. The diagnostic names the sample size, not the
     sample, to stay one line.
 
     An oracle with a `batch` method (SubprocessOracle) gets the rows in one
@@ -147,7 +141,7 @@ def oracle_values(oracle: Oracle, rows: Iterable[np.ndarray]) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
-        raise OracleFailure(
+        raise RiskError(
             f"oracle returned {values[i]} on a sample of {sizes[i]} values"
         )
     return values

@@ -5,7 +5,6 @@ consistency / rate / CLT / bootstrap diagnostics, all reproducible from
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -21,12 +20,7 @@ from .asymptotics import (
     truncated_kolmogorov,
 )
 from .core import SCHEMA, Sample
-from .errors import (
-    DegenerateFit,
-    DegenerateVariance,
-    DomainError,
-    NotLipschitz,
-)
+from .errors import RiskError
 from .estimators import Oracle, oracle_values
 from .population import (
     ReferenceDistribution,
@@ -62,10 +56,10 @@ class LipschitzClass:
     def __init__(self, members: Sequence[Spectrum]):
         members = tuple(members)
         if not members:
-            raise DomainError("a spectral class needs at least one member")
+            raise RiskError("a spectral class needs at least one member")
         for phi in members:
             if phi.lipschitz is None:
-                raise NotLipschitz(
+                raise RiskError(
                     f"{phi.kind} spectrum carries no Lipschitz constant"
                 )
         self.members = members
@@ -93,7 +87,7 @@ def lipschitz_class_from_json(spec: object) -> LipschitzClass:
     if spec == "bundled":
         return bundled_lipschitz_class()
     if not isinstance(spec, list):
-        raise DomainError(
+        raise RiskError(
             "config 'class' must be \"bundled\" or a list of spectra")
     return LipschitzClass([spectrum_from_json(s) for s in spec])
 
@@ -150,8 +144,8 @@ def _echo(kind: object, value: object) -> object:
 class ExperimentReport:
     """Config echo plus results for one experiment run.
 
-    Serialisation is deterministic and leaves wall time out, so that
-    identical (config, seed) runs produce byte-identical JSON.
+    Serialisation is deterministic, so identical (config, seed) runs
+    produce byte-identical JSON.
     """
 
     experiment: str
@@ -159,7 +153,6 @@ class ExperimentReport:
     results: dict
     passed: Optional[bool]
     seed: int
-    wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -177,15 +170,14 @@ class ExperimentReport:
 
 def _report(
     experiment: str, values: Sequence[object], results: dict,
-    passed: Optional[bool], rng: RngSpec, started: float,
+    passed: Optional[bool], rng: RngSpec,
 ) -> ExperimentReport:
-    """The report of a run begun at perf_counter() `started`, its config
-    echoed from the driver's field values in EXPERIMENT_FIELDS order."""
+    """The report of a run, its config echoed from the driver's field
+    values in EXPERIMENT_FIELDS order."""
     fields = EXPERIMENT_FIELDS[experiment][1]
     config = {key: _echo(kind, value)
               for (key, kind, *_), value in zip(fields, values)}
-    return ExperimentReport(experiment, config, results, passed, rng.seed,
-                            time.perf_counter() - started)
+    return ExperimentReport(experiment, config, results, passed, rng.seed)
 
 
 #: the largest float below 1, which 1 - U is for the smallest U > 0
@@ -277,9 +269,9 @@ def check_axioms(
     properties, so they can be switched off.
     """
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise RiskError(f"n must be >= 1, got {n}")
     if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+        raise RiskError(f"trials must be >= 1, got {trials}")
 
     # each axiom draws one trial as plain data: its oracle rows, left-hand
     # side first; the input scale its tolerance grows with; and the inputs
@@ -398,7 +390,7 @@ def _class_errors(
     """Per n: the vector over reps of the worst error across the class;
     and the members' population risks the errors are measured from."""
     if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+        raise RiskError(f"reps must be >= 1, got {reps}")
     targets = np.array(
         [population_spectral_risk(dist, phi) for phi in cls.members]
     )
@@ -433,13 +425,12 @@ def consistency_sweep(
     beats a threshold <= 0, so one is refused.
     """
     if list(n_grid) != sorted(n_grid) or len(n_grid) < 1:
-        raise DomainError("n_grid must be a non-empty non-decreasing sequence")
+        raise RiskError("n_grid must be a non-empty non-decreasing sequence")
     if threshold is not None and not threshold > 0.0:
-        raise DomainError(f"threshold must be > 0, got {threshold}")
+        raise RiskError(f"threshold must be > 0, got {threshold}")
     if not 0.0 < min_pass_fraction <= 1.0:
-        raise DomainError(
+        raise RiskError(
             f"min_pass_fraction must lie in (0, 1], got {min_pass_fraction}")
-    started = time.perf_counter()
     per_n, _ = _class_errors(cls, dist, n_grid, reps, rng)
     rows = [
         {
@@ -456,7 +447,7 @@ def consistency_sweep(
         passed = bool(frac >= min_pass_fraction)
     return _report(
         "consistency", (cls, dist, n_grid, reps, threshold, min_pass_fraction),
-        {"per_n": rows}, passed, rng, started,
+        {"per_n": rows}, passed, rng,
     )
 
 
@@ -471,20 +462,19 @@ def rate_experiment(
     """Least-squares slope of log median error against log n.
 
     A root-n rate shows up as a slope near -1/2; the experiment fails
-    (DegenerateFit) when errors vanish, as for a point mass.
+    (RiskError) when errors vanish, as for a point mass.
     """
     if len(set(n_grid)) < 2:
-        raise DomainError("rate fit needs at least two distinct sample sizes")
+        raise RiskError("rate fit needs at least two distinct sample sizes")
     if slope_band is not None and not slope_band[0] <= slope_band[1]:
-        raise DomainError(
+        raise RiskError(
             f"slope_band must be [low, high] with low <= high, "
             f"got {list(slope_band)}")
-    started = time.perf_counter()
     per_n, targets = _class_errors(cls, dist, n_grid, reps, rng)
     medians = np.array([float(np.median(errs)) for errs in per_n])
     scale = float(np.max(np.abs(targets)))
     if np.any(medians <= 1e-14 * (1.0 + scale)):
-        raise DegenerateFit("median errors underflow; log-log fit undefined")
+        raise RiskError("median errors underflow; log-log fit undefined")
     slope, intercept = np.polyfit(np.log(np.asarray(n_grid, float)),
                                   np.log(medians), 1)
     rows = [
@@ -501,7 +491,7 @@ def rate_experiment(
         "intercept": float(intercept),
     }
     return _report("rate", (cls, dist, n_grid, reps, slope_band), results,
-                   passed, rng, started)
+                   passed, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +500,13 @@ def rate_experiment(
 
 def _gate_clt_inputs(phi: Spectrum, dist: ReferenceDistribution) -> float:
     if phi.lipschitz is None:
-        raise NotLipschitz(
+        raise RiskError(
             f"{phi.kind} spectrum is not Lipschitz; the CLT and bootstrap "
             "diagnostics require a Lipschitz spectrum"
         )
     sigma2 = asymptotic_variance(phi, dist)
     if sigma2 <= 1e-12:
-        raise DegenerateVariance(f"asymptotic variance {sigma2} is degenerate")
+        raise RiskError(f"asymptotic variance {sigma2} is degenerate")
     return sigma2
 
 
@@ -532,12 +522,11 @@ def clt_check(
     normal limit with the plug-in asymptotic variance. The distance lies
     in [0, 1], so a threshold outside (0, 1] would fix the verdict."""
     if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+        raise RiskError(f"reps must be >= 1, got {reps}")
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise RiskError(f"n must be >= 1, got {n}")
     if not 0.0 < threshold <= 1.0:
-        raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
-    started = time.perf_counter()
+        raise RiskError(f"threshold must lie in (0, 1], got {threshold}")
     sigma2 = _gate_clt_inputs(phi, dist)
     target = population_spectral_risk(dist, phi)
     weights = canonical_weights(phi, n).weights
@@ -553,7 +542,7 @@ def clt_check(
     results = {"sigma2": float(sigma2), "d_K": float(d_k),
                "population_risk": float(target)}
     return _report("clt", (phi, dist, n, reps, threshold), results,
-                   bool(d_k < threshold), rng, started)
+                   bool(d_k < threshold), rng)
 
 
 def bootstrap_check(
@@ -568,12 +557,11 @@ def bootstrap_check(
     """Bootstrap validity: one sample of size n, B resampled replicates,
     Kolmogorov and truncated-grid distances to the normal limit."""
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise RiskError(f"n must be >= 1, got {n}")
     if B < 1:
-        raise DomainError(f"B must be >= 1, got {B}")
+        raise RiskError(f"B must be >= 1, got {B}")
     if not 0.0 < threshold <= 1.0:
-        raise DomainError(f"threshold must lie in (0, 1], got {threshold}")
-    started = time.perf_counter()
+        raise RiskError(f"threshold must lie in (0, 1], got {threshold}")
     sigma2 = _gate_clt_inputs(phi, dist)
     sample = Sample(sample_from(dist, rng.streams()(0), n))
     reps = bootstrap_distribution(sample, phi, B, rng)
@@ -593,4 +581,4 @@ def bootstrap_check(
         "degenerate": degenerate,
     }
     return _report("bootstrap", (phi, dist, n, B, threshold, grid_m), results,
-                   passed, rng, started)
+                   passed, rng)

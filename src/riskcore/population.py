@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .core import json_field, json_type, number_array
-from .errors import AlphaOutOfRange, DomainError, QuadratureFailure
+from .errors import RiskError
 from .quadrature import integrate_piecewise
 from .spectra import Spectrum
 
@@ -56,20 +56,20 @@ class ReferenceDistribution:
         # boolean as that kind of number
         values = [number_array(value) for value in params.values()]
         if not all(v is not None and v.ndim == 0 for v in values):
-            raise DomainError(f"{kind} parameters must be numbers: {params}")
+            raise RiskError(f"{kind} parameters must be numbers: {params}")
         params = dict(zip(params, map(float, values)))
         if not all(map(math.isfinite, params.values())):
-            raise DomainError(f"{kind} parameters must be finite: {params}")
+            raise RiskError(f"{kind} parameters must be finite: {params}")
         if kind not in LAW_PARAMS:
-            raise DomainError(f"unknown distribution kind {kind!r}")
+            raise RiskError(f"unknown distribution kind {kind!r}")
         params = {key: params[key] for key in LAW_PARAMS[kind]}
         if kind == "uniform" and not params["a"] < params["b"]:
             a, b = params["a"], params["b"]
-            raise DomainError(f"uniform needs a < b, got a={a}, b={b}")
+            raise RiskError(f"uniform needs a < b, got a={a}, b={b}")
         if kind == "normal" and not params["sd"] > 0:
-            raise DomainError(f"normal needs sd > 0, got {params['sd']}")
+            raise RiskError(f"normal needs sd > 0, got {params['sd']}")
         if kind == "exponential" and not params["rate"] > 0:
-            raise DomainError(f"exponential needs rate > 0, got {params['rate']}")
+            raise RiskError(f"exponential needs rate > 0, got {params['rate']}")
         self.kind = kind
         self.params = params
         # the normal quantile comes from the standard library here: scipy
@@ -84,7 +84,7 @@ class ReferenceDistribution:
                 tails = np.array([TAIL_DELTA, 1.0 - TAIL_DELTA])
                 lo, hi = self.quantile(tails).tolist()
         if not math.isfinite(hi - lo):
-            raise DomainError(
+            raise RiskError(
                 f"{kind} parameters give a quantile range that overflows: "
                 f"{params}"
             )
@@ -110,7 +110,7 @@ class ReferenceDistribution:
         u = np.array(u, dtype=np.float64)  # a copy: the map runs in place
         # NaN fails every comparison, so the test is written to refuse it
         if not ((u > 0.0) & (u <= 1.0)).all():
-            raise AlphaOutOfRange("quantile argument must lie in (0, 1]")
+            raise RiskError("quantile argument must lie in (0, 1]")
         out = self.quantile_in_place(u)
         return float(out) if out.ndim == 0 else out
 
@@ -142,7 +142,7 @@ class ReferenceDistribution:
         """Integral of the quantile over [0, t], in closed form."""
         t = np.asarray(t, dtype=np.float64)
         if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN is refused too
-            raise AlphaOutOfRange("quantile primitive needs t in [0, 1]")
+            raise RiskError("quantile primitive needs t in [0, 1]")
         if self.kind == "uniform":
             a, b = self.params["a"], self.params["b"]
             out = a * t + 0.5 * (b - a) * t * t
@@ -213,7 +213,7 @@ class ReferenceDistribution:
 def population_es(dist: ReferenceDistribution, alpha: float) -> float:
     """Population expected shortfall -(1/alpha) * integral of q over (0, alpha]."""
     if not (0.0 < alpha <= 1.0):
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1], got {alpha}")
+        raise RiskError(f"alpha must lie in (0, 1], got {alpha}")
     return -float(dist.quantile_primitive(alpha)) / alpha
 
 
@@ -244,7 +244,7 @@ def population_spectral_risk(dist: ReferenceDistribution, phi: Spectrum) -> floa
     )
     total = low + body + top
     if not math.isfinite(total):
-        raise QuadratureFailure("spectral risk integral did not converge")
+        raise RiskError("spectral risk integral did not converge")
     return -total
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import RiskError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_EVALS = 10**6
@@ -34,7 +34,7 @@ def adaptive_simpson(
     """Integrate f over [a, b] to absolute tolerance tol.
 
     Classic recursive Simpson refinement with the |S2 - S1|/15 error
-    estimate and Richardson extrapolation. Raises QuadratureFailure when
+    estimate and Richardson extrapolation. Raises RiskError when
     the evaluation budget is exhausted before the tolerance is met.
     """
     if a == b:
@@ -48,7 +48,7 @@ def adaptive_simpson(
         nonlocal evals
         evals += 1
         if evals > max_evals:
-            raise QuadratureFailure(
+            raise RiskError(
                 f"evaluation budget {max_evals} exhausted on [{a}, {b}]"
             )
         return f(x)
@@ -80,7 +80,7 @@ def adaptive_simpson(
     fa, fmid, fb = fev(a), fev(0.5 * (a + b)), fev(b)
     for v in (fa, fmid, fb):
         if not math.isfinite(v):
-            raise QuadratureFailure(f"non-finite integrand on [{a}, {b}]")
+            raise RiskError(f"non-finite integrand on [{a}, {b}]")
     whole = simpson(fa, fmid, fb, b - a)
     return recurse(a, b, fa, fmid, fb, whole, tol)
 
@@ -136,13 +136,13 @@ def _gauss_kronrod(
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     fx = np.broadcast_to(np.asarray(f(x), dtype=np.float64), x.shape)
     if not np.all(np.isfinite(fx)):
-        raise QuadratureFailure(
+        raise RiskError(
             f"non-finite integrand on [{float(lo.min())}, {float(hi.max())}]"
         )
     k15 = half * (fx @ _KRONROD)
     g7 = half * (fx @ _GAUSS)
     if not (np.all(np.isfinite(k15)) and np.all(np.isfinite(g7))):
-        raise QuadratureFailure(
+        raise RiskError(
             f"integral overflows on [{float(lo.min())}, {float(hi.max())}]"
         )
     return k15, np.abs(k15 - g7), np.abs(half) * (np.abs(fx) @ _KRONROD)
@@ -173,7 +173,7 @@ def _panels(
     while lo.size:
         evals += _POINTS * lo.size
         if evals > max_evals:
-            raise QuadratureFailure(
+            raise RiskError(
                 f"evaluation budget {max_evals} exhausted on [{a}, {b}]"
             )
         value, err, scale = _gauss_kronrod(f, lo, hi)
@@ -206,7 +206,7 @@ def integrate_piecewise(
     """Integrate the vectorised f over [a, b] to absolute tolerance tol.
 
     Panels are split at interior breakpoints so no rule straddles a known
-    kink or jump. Raises QuadratureFailure when more than max_evals
+    kink or jump. Raises RiskError when more than max_evals
     integrand points would be needed, when f returns a non-finite value,
     or when the integral overflows.
     """

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import WeightVector, ceil_level, json_field, json_type, number_array
-from .errors import DomainError, NotLipschitz, NotMonotone, NotNormalised
+from .errors import RiskError
 
 #: grid resolution used to validate (S1)-(S3) and the declared Lipschitz
 #: constant at construction
@@ -59,24 +59,24 @@ class Spectrum:
         vals = self._density(pts)
         steps = np.diff(vals)
         if np.any(steps > SHAPE_TOL):
-            raise NotMonotone(f"{self.kind} spectrum is not non-increasing")
+            raise RiskError(f"{self.kind} spectrum is not non-increasing")
         if self.lipschitz is not None and np.any(
                 np.abs(steps) > self.lipschitz * np.diff(pts) + 1e-9):
-            raise NotLipschitz(f"{self.kind} spectrum moves faster than its "
+            raise RiskError(f"{self.kind} spectrum moves faster than its "
                                f"Lipschitz constant {self.lipschitz}")
         if np.any(vals < -SHAPE_TOL) or np.any(vals > self.bound + SHAPE_TOL):
-            raise DomainError(
+            raise RiskError(
                 f"{self.kind} spectrum leaves [0, {self.bound}] on the grid"
             )
         total = float(self.primitive(1.0))
         if abs(total - 1.0) > SHAPE_TOL:
-            raise NotNormalised(f"{self.kind} spectrum integrates to {total}")
+            raise RiskError(f"{self.kind} spectrum integrates to {total}")
 
     def density(self, u: Floats) -> Floats:
         """Evaluate phi on (0, 1]."""
         arr = np.asarray(u, dtype=np.float64)
         if np.any(arr <= 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"spectrum evaluated outside (0, 1]: {u}")
+            raise RiskError(f"spectrum evaluated outside (0, 1]: {u}")
         out = self._density(arr)
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
@@ -84,7 +84,7 @@ class Spectrum:
         """Evaluate Phi(t) = integral of phi over [0, t] for t in [0, 1]."""
         arr = np.asarray(t, dtype=np.float64)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"primitive evaluated outside [0, 1]: {t}")
+            raise RiskError(f"primitive evaluated outside [0, 1]: {t}")
         out = self._primitive(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
@@ -92,7 +92,7 @@ class Spectrum:
 def expected_shortfall_spectrum(alpha: float) -> Spectrum:
     """phi = (1/alpha) on (0, alpha], 0 beyond. Bounded, not Lipschitz."""
     if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"es spectrum needs alpha in (0, 1], got {alpha}")
+        raise RiskError(f"es spectrum needs alpha in (0, 1], got {alpha}")
     return Spectrum(
         kind="es",
         params={"alpha": float(alpha)},
@@ -119,7 +119,7 @@ def uniform_spectrum() -> Spectrum:
 def linear_spectrum(slope: float) -> Spectrum:
     """phi(u) = 1 + slope * (1/2 - u); slope in [0, 2] keeps phi >= 0."""
     if not (0.0 <= slope <= 2.0):
-        raise DomainError(f"linear spectrum needs slope in [0, 2], got {slope}")
+        raise RiskError(f"linear spectrum needs slope in [0, 2], got {slope}")
     s = float(slope)
     return Spectrum(
         kind="linear",
@@ -134,11 +134,11 @@ def linear_spectrum(slope: float) -> Spectrum:
 def exponential_spectrum(k: float) -> Spectrum:
     """phi(u) = k exp(-k u) / (1 - exp(-k)); risk aversion grows with k."""
     if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"exponential spectrum needs k > 0, got {k}")
+        raise RiskError(f"exponential spectrum needs k > 0, got {k}")
     k = float(k)
     # a subnormal k carries too few digits for k * t and k / norm
     if k < sys.float_info.min:
-        raise DomainError(f"exponential spectrum k={k} is too small to normalise")
+        raise RiskError(f"exponential spectrum k={k} is too small to normalise")
     # expm1 keeps every digit of 1 - exp(-x) for small x, where the
     # difference would cancel
     norm = -math.expm1(-k)
@@ -161,21 +161,21 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
     """
     pts = number_array(knots)
     if pts is None:
-        raise DomainError("piecewise_linear knots must be numbers")
+        raise RiskError("piecewise_linear knots must be numbers")
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise DomainError("piecewise_linear spectrum needs [[t, v], ...] knots")
+        raise RiskError("piecewise_linear spectrum needs [[t, v], ...] knots")
     if not np.isfinite(pts).all():
-        raise DomainError("piecewise_linear knots must be finite")
+        raise RiskError("piecewise_linear knots must be finite")
     t, v = pts[:, 0], pts[:, 1]
     if t[0] != 0.0 or t[-1] != 1.0 or np.any(np.diff(t) <= 0.0):
-        raise DomainError("knot positions must increase strictly from 0 to 1")
+        raise RiskError("knot positions must increase strictly from 0 to 1")
     if np.any(v < 0.0):
-        raise DomainError("knot values must be nonnegative")
+        raise RiskError("knot values must be nonnegative")
     if np.any(np.diff(v) > SHAPE_TOL):
-        raise NotMonotone("knot values must be non-increasing")
+        raise RiskError("knot values must be non-increasing")
     total = float(np.trapezoid(v, t))
     if abs(total - 1.0) > SHAPE_TOL:
-        raise NotNormalised(f"piecewise_linear spectrum integrates to {total}")
+        raise RiskError(f"piecewise_linear spectrum integrates to {total}")
     v = v / total
     slopes = np.diff(v) / np.diff(t)
     seg_mass = 0.5 * (v[:-1] + v[1:]) * np.diff(t)
@@ -205,7 +205,7 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
 def canonical_weights(phi: Spectrum, n: int) -> WeightVector:
     """Canonical discretisation a_i = Phi(i/n) - Phi((i-1)/n)."""
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise RiskError(f"n must be >= 1, got {n}")
     grid = np.arange(n + 1, dtype=np.float64) / n
     w = np.diff(phi.primitive(grid))
     return WeightVector(np.clip(w, 0.0, None), monotone=True)
@@ -215,7 +215,7 @@ def step_spectrum(a: WeightVector) -> Spectrum:
     """Associated step spectrum of a non-increasing weight vector: the
     value n * a_i on ((i-1)/n, i/n]."""
     if not a.monotone:
-        raise NotMonotone("step_spectrum requires a certified monotone vector")
+        raise RiskError("step_spectrum requires a certified monotone vector")
     n = a.n
     levels = n * a.weights
     cum = np.concatenate([[0.0], np.cumsum(levels)]) / n
@@ -246,7 +246,7 @@ def primitive_gap(phi: Spectrum, n: int, grid_size: int) -> float:
     over the grid {j / grid_size}. The distribution-free consistency
     criterion asks exactly that this tends to 0 in n."""
     if grid_size < 2:
-        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+        raise RiskError(f"grid_size must be >= 2, got {grid_size}")
     step = step_spectrum(canonical_weights(phi, n))
     t = np.arange(grid_size + 1, dtype=np.float64) / grid_size
     return float(np.max(np.abs(step.primitive(t) - phi.primitive(t))))

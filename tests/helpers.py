@@ -9,7 +9,7 @@ from riskcore import (ReferenceDistribution, RepresentingSet, Sample, Spectrum,
                       discrete_es_profile, influence_function, kusuoka_plugin)
 from riskcore.asymptotics import INFLUENCE_EDGE
 from riskcore.core import ceil_level
-from riskcore.errors import DomainError
+from riskcore.errors import RiskError
 
 
 def keyed_philox(seed: int, i: int) -> np.random.Generator:
@@ -53,11 +53,11 @@ def kusuoka_tightness_gap(
     levels = np.arange(1, M.n + 1, dtype=np.float64) / M.n
     keep = levels > delta
     if not np.any(keep):
-        raise DomainError("censoring removed every level")
+        raise RiskError("censoring removed every level")
     censored = M.vertices * keep
     kept_mass = censored.sum(axis=1)
     if np.any(kept_mass <= 0.0):
-        raise DomainError("a vertex lost all of its mass to censoring")
+        raise RiskError("a vertex lost all of its mass to censoring")
     censored = censored / kept_mass[:, None]
     cens_value = float(np.max(censored @ es))
     eps = float(np.max(1.0 - kept_mass))
@@ -76,11 +76,11 @@ def kusuoka_grid_gap(
     sum_j nu_j |dES difference between the two assigned levels|.
     """
     if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+        raise RiskError(f"m must be >= 1, got {m}")
     levels = np.asarray(atom_levels, dtype=np.float64)
     masses = np.asarray(atom_masses, dtype=np.float64)
     if np.any(levels <= 0.0) or np.any(levels > 1.0):
-        raise DomainError("atom levels must lie in (0, 1]")
+        raise RiskError("atom levels must lie in (0, 1]")
     es = discrete_es_profile(x)
     n = x.n
 

@@ -7,6 +7,9 @@ The first N requests get the discrete expected shortfall at level 1/n
   exit   exit at once
   abc    reply 'abc' to every further request
   inf    reply 'inf' to every further request
+  extra  reply to every further request, then write a second line, 99.0
+  raise  raise an exception, so a traceback goes to stderr
+  noisy  write 1 MiB to stderr before each further reply
 """
 
 import sys
@@ -16,15 +19,22 @@ import time
 def main() -> int:
     mode, answered = sys.argv[1], int(sys.argv[2])
     for count, line in enumerate(sys.stdin):
-        if count < answered:
-            reply = repr(-min(float(p) for p in line.split()))
-        elif mode == "stall":
-            time.sleep(3600)
-            return 0
-        elif mode == "exit":
-            return 0
-        else:
-            reply = mode
+        reply = repr(-min(float(p) for p in line.split()))
+        if count >= answered:
+            if mode == "stall":
+                time.sleep(3600)
+                return 0
+            if mode == "exit":
+                return 0
+            if mode == "raise":
+                raise RuntimeError(f"failing on request {count + 1}")
+            if mode == "extra":
+                reply += "\n99.0"
+            elif mode == "noisy":
+                sys.stderr.write("x" * (1 << 20) + "\n")
+                sys.stderr.flush()
+            else:
+                reply = mode
         print(reply, flush=True)
     return 0
 

@@ -62,37 +62,44 @@ def report(num: int, ok: bool, detail: str, elapsed: float, limit: float):
 
 
 # -- experiment fixtures shared with the determinism criterion --------------
+# each is (report, seconds the driver call took)
+
+def timed(run):
+    started = time.perf_counter()
+    return run(), time.perf_counter() - started
+
 
 @pytest.fixture(scope="module")
 def consistency_report():
-    return consistency_sweep(
+    return timed(lambda: consistency_sweep(
         bundled_lipschitz_class(), UNIFORM01, [100_000], 20, RngSpec(1),
         threshold=0.01, min_pass_fraction=0.95,
-    )
+    ))
 
 
 @pytest.fixture(scope="module")
 def rate_report():
-    return rate_experiment(
+    return timed(lambda: rate_experiment(
         LipschitzClass([uniform_spectrum()]), NORMAL01, RATE_GRID, 50,
         RngSpec(1), slope_band=(-0.65, -0.35),
-    )
+    ))
 
 
 @pytest.fixture(scope="module")
 def clt_reports():
-    return {
+    return timed(lambda: {
         "uniform": clt_check(uniform_spectrum(), UNIFORM01, 2000, 2000,
                              RngSpec(1), threshold=0.05),
         "normal": clt_check(uniform_spectrum(), NORMAL01, 2000, 2000,
                             RngSpec(1), threshold=0.05),
-    }
+    })
 
 
 @pytest.fixture(scope="module")
 def bootstrap_report():
-    return bootstrap_check(linear_spectrum(2.0), NORMAL01, 2000, 2000,
-                           RngSpec(1), threshold=0.08, grid_m=100)
+    return timed(lambda: bootstrap_check(
+        linear_spectrum(2.0), NORMAL01, 2000, 2000, RngSpec(1),
+        threshold=0.08, grid_m=100))
 
 
 # -- criteria ----------------------------------------------------------------
@@ -250,24 +257,25 @@ def test_criterion_07_asymptotic_variance():
 
 
 def test_criterion_08_uniform_consistency(consistency_report):
-    rep = consistency_report
+    rep, elapsed = consistency_report
     errors = np.asarray(rep.results["per_n"][-1]["errors"])
     hits = int(np.sum(errors < 0.01))
     report(
         8, bool(rep.passed) and hits >= 19,
         f"bundled-class error < 0.01 in {hits}/20 reps at n=1e5 "
         f"(median {np.median(errors):.4f})",
-        rep.wall_time_s, 60.0,
+        elapsed, 60.0,
     )
 
 
 def test_criterion_09_rate(rate_report):
-    slope = rate_report.results["slope"]
+    rate, elapsed = rate_report
+    slope = rate.results["slope"]
     report(
-        9, bool(rate_report.passed) and -0.65 <= slope <= -0.35,
+        9, bool(rate.passed) and -0.65 <= slope <= -0.35,
         f"log-log error slope {slope:.3f} within [-0.65, -0.35] over "
         "n = 1e2..1e5, 50 reps",
-        rate_report.wall_time_s, 180.0,
+        elapsed, 180.0,
     )
 
 
@@ -302,7 +310,7 @@ def test_rate_report_meets_the_mean_error_envelope(rate_report):
     phi = uniform_spectrum()
     target = population_spectral_risk(NORMAL01, phi)
     envelope = phi.bound * j1(NORMAL01)
-    rows = rate_report.results["per_n"]
+    rows = rate_report[0].results["per_n"]
     for i_n, (n, row) in enumerate(zip(RATE_GRID, rows)):
         w = np.vstack([canonical_weights(phi, n).weights])
         errors = []
@@ -316,14 +324,14 @@ def test_rate_report_meets_the_mean_error_envelope(rate_report):
 
 
 def test_criterion_10_clt(clt_reports):
-    d_u = clt_reports["uniform"].results["d_K"]
-    d_n = clt_reports["normal"].results["d_K"]
+    reports, elapsed = clt_reports
+    d_u = reports["uniform"].results["d_K"]
+    d_n = reports["normal"].results["d_K"]
     ok = (
-        bool(clt_reports["uniform"].passed)
-        and bool(clt_reports["normal"].passed)
+        bool(reports["uniform"].passed)
+        and bool(reports["normal"].passed)
         and d_u < 0.05 and d_n < 0.05
     )
-    elapsed = clt_reports["uniform"].wall_time_s + clt_reports["normal"].wall_time_s
     report(
         10, ok,
         f"CLT d_K to the normal limit: uniform {d_u:.4f}, normal {d_n:.4f} "
@@ -333,9 +341,10 @@ def test_criterion_10_clt(clt_reports):
 
 
 def test_criterion_11_bootstrap_validity(bootstrap_report):
-    res = bootstrap_report.results
+    boot, elapsed = bootstrap_report
+    res = boot.results
     ok = (
-        bool(bootstrap_report.passed)
+        bool(boot.passed)
         and res["d_K"] < 0.08
         and res["d_K_m"] <= res["d_K"]
     )
@@ -343,7 +352,7 @@ def test_criterion_11_bootstrap_validity(bootstrap_report):
         11, ok,
         f"bootstrap d_K {res['d_K']:.4f} < 0.08 and truncated "
         f"d_K_100 {res['d_K_m']:.4f} <= d_K (n=2000, B=2000)",
-        bootstrap_report.wall_time_s, 120.0,
+        elapsed, 120.0,
     )
 
 
@@ -428,11 +437,11 @@ def test_criterion_13_determinism(consistency_report, rate_report,
                                       2000, RngSpec(1), threshold=0.08,
                                       grid_m=100)
     matches = [
-        rerun_consistency.to_json() == consistency_report.to_json(),
-        rerun_rate.to_json() == rate_report.to_json(),
-        rerun_clt_u.to_json() == clt_reports["uniform"].to_json(),
-        rerun_clt_n.to_json() == clt_reports["normal"].to_json(),
-        rerun_bootstrap.to_json() == bootstrap_report.to_json(),
+        rerun_consistency.to_json() == consistency_report[0].to_json(),
+        rerun_rate.to_json() == rate_report[0].to_json(),
+        rerun_clt_u.to_json() == clt_reports[0]["uniform"].to_json(),
+        rerun_clt_n.to_json() == clt_reports[0]["normal"].to_json(),
+        rerun_bootstrap.to_json() == bootstrap_report[0].to_json(),
     ]
     report(
         13, all(matches),

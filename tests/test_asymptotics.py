@@ -20,7 +20,7 @@ from riskcore import (
     wasserstein1,
 )
 from riskcore.asymptotics import BLOCK_FLOATS, indexed_map
-from riskcore.errors import DomainError
+from riskcore.errors import RiskError
 from riskcore.harness import bundled_lipschitz_class, sample_from
 from riskcore.quadrature import adaptive_simpson
 from helpers import influence_table, keyed_philox
@@ -39,9 +39,11 @@ class TestRngSpec:
         assert not np.array_equal(a, b)
 
     def test_bounds_checked(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^seed must be a 64-bit "
+                           r"unsigned integer$"):
             RngSpec(-1)
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^seed must be a 64-bit "
+                           r"unsigned integer$"):
             RngSpec(2**64)
 
     DRAWS = {
@@ -255,7 +257,7 @@ class TestTruncatedKolmogorov:
         assert trunc >= full - 0.399 / 100 - 1e-12
 
     def test_m_validated(self, std_normal):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^m must be >= 1, got 0$"):
             truncated_kolmogorov(Sample([0.0]), std_normal, 0)
 
 
@@ -324,7 +326,8 @@ class TestInfluenceFunction:
                 pytest.approx(-x, abs=1e-6)
 
     def test_point_mass_rejected(self, point_mass3):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^influence analysis needs a "
+                           r"distribution with a density$"):
             influence_function(uniform_spectrum(), point_mass3, 0.0)
 
     def test_table_matches_direct(self, std_normal, uniform01):
@@ -415,7 +418,8 @@ class TestAsymptoticVariance:
                 assert asymptotic_variance(phi, dist) >= 0.0
 
     def test_point_mass_rejected(self, point_mass3):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^influence analysis needs a "
+                           r"distribution with a density$"):
             asymptotic_variance(uniform_spectrum(), point_mass3)
 
     def test_es_spectrum_variance_known_value(self, uniform01):

@@ -25,7 +25,7 @@ from riskcore.cli import (
     read_sample,
 )
 from riskcore.core import Sample
-from riskcore.errors import OracleFailure, RiskError
+from riskcore.errors import RiskError
 from conftest import strict_json
 
 ORACLES = pathlib.Path(__file__).parent / "oracles"
@@ -256,7 +256,7 @@ class TestOracleCommands:
         monkeypatch.setattr(cli, "ORACLE_TIMEOUT_S", 0.5)
         sleeper = f"{sys.executable} -c 'import time; time.sleep(60)'"
         with SubprocessOracle(sleeper) as oracle:
-            with pytest.raises(OracleFailure, match="did not answer"):
+            with pytest.raises(RiskError, match="did not answer"):
                 oracle(np.zeros(100_000))
             assert oracle.proc.wait(timeout=5) is not None
 
@@ -270,6 +270,7 @@ class TestPipelinedOracle:
         "exit": ["closed its output stream", "oracle process failed"],
         "abc": ["replied with a non-number: 'abc'"],
         "inf": ["oracle returned inf on a sample of {n} values"],
+        "extra": ["oracle wrote more replies than requests"],
     }
 
     @pytest.mark.parametrize("mode", list(FAILURES))
@@ -318,8 +319,20 @@ class TestPipelinedOracle:
         command = f"{sys.executable} -c {shlex.quote(script)}"
         with SubprocessOracle(command) as oracle:
             assert oracle(np.zeros(3)) == 0.25
-            with pytest.raises(OracleFailure):
+            with pytest.raises(RiskError, match=r"^oracle process "
+                               r"(failed|closed its output stream)"):
                 oracle(np.zeros(3))
+
+    def test_an_extra_reply_after_the_batch_is_refused_at_close(self):
+        # the second line comes after the batch has returned, so only
+        # close() can see it
+        script = ("import sys, time; sys.stdin.readline(); "
+                  "print(1.0, flush=True); time.sleep(0.2); print(2.0)")
+        oracle = SubprocessOracle(f"{sys.executable} -c {shlex.quote(script)}")
+        assert oracle(np.zeros(3)) == 1.0
+        with pytest.raises(RiskError, match="^oracle wrote more replies "
+                           "than requests$"):
+            oracle.close()
 
     def test_a_reply_line_at_the_cap_is_read(self):
         spaces = cli.REPLY_MAX_BYTES - 1
@@ -329,7 +342,7 @@ class TestPipelinedOracle:
     def test_a_reply_line_past_the_cap_is_refused(self):
         spaces = cli.REPLY_MAX_BYTES
         with SubprocessOracle(f"{LONG_REPLY_ORACLE} {spaces}") as oracle:
-            with pytest.raises(OracleFailure, match="^oracle reply exceeds "
+            with pytest.raises(RiskError, match="^oracle reply exceeds "
                                "4096 bytes$"):
                 oracle(np.zeros(3))
 
@@ -357,7 +370,7 @@ class TestPipelinedOracle:
 
         sleeper = f"{sys.executable} -c 'import time; time.sleep(60)'"
         with SubprocessOracle(sleeper) as oracle:
-            with pytest.raises(OracleFailure, match="did not answer"):
+            with pytest.raises(RiskError, match="did not answer"):
                 oracle.batch(rows())
         assert len(pulled) * 400 < 4 * cli.REQUEST_BUFFER_BYTES
 
@@ -430,6 +443,41 @@ class TestResourceHygiene:
         )
         assert out.returncode == 2
         assert out.stderr == "error: oracle did not answer within 0.5 s\n"
+
+    def test_extra_replies_warn_nothing(self):
+        out = subprocess.run(
+            [*self.DEV, "-m", "riskcore.cli", "recover", "--oracle",
+             f"{PARTIAL_ORACLE} extra 0", "--n", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr == "error: oracle wrote more replies than requests\n"
+
+
+class TestOracleStderr:
+    """An oracle's stderr is its own: riskcore passes it through unread,
+    and adds at most one `error:` line, last."""
+
+    def recover(self, mode):
+        return subprocess.run(
+            [sys.executable, "-m", "riskcore.cli", "recover", "--oracle",
+             f"{PARTIAL_ORACLE} {mode}", "--n", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+
+    def test_a_traceback_comes_before_the_one_error_line(self):
+        out = self.recover("raise 2")
+        lines = out.stderr.splitlines()
+        assert out.returncode == 2 and out.stdout == ""
+        assert "RuntimeError: failing on request 3" in lines
+        assert lines[-1].startswith("error: oracle ")
+        assert [l for l in lines if l.startswith("error:")] == lines[-1:]
+
+    def test_a_megabyte_of_stderr_does_not_stall_the_run(self):
+        out = self.recover("noisy 0")
+        assert out.returncode == 0, out.stderr[-200:]
+        assert strict_json(out.stdout)["weights"] == [1.0, 0.0, 0.0]
+        assert out.stderr == ("x" * (1 << 20) + "\n") * 4
 
 
 class TestExperiments:
@@ -1289,5 +1337,5 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_fmt_rejects_non_finite(self, value):
-        with pytest.raises(RiskError):
+        with pytest.raises(RiskError, match=r"^result is not finite: "):
             fmt(value)

@@ -12,7 +12,7 @@ from riskcore import (
     population_spectral_risk,
     uniform_spectrum,
 )
-from riskcore.errors import AlphaOutOfRange, DomainError
+from riskcore.errors import RiskError
 from riskcore.population import distribution_to_json
 from riskcore.quadrature import adaptive_simpson
 
@@ -63,17 +63,21 @@ class TestAccessors:
         # NaN fails every comparison, so it passed both range checks: the
         # quantile was NaN (c on a point mass at c), and so was the primitive
         dist = request.getfixturevalue(name)
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(RiskError, match=r"^quantile argument must lie in "
+                           r"\(0, 1\]$"):
             dist.quantile(nan)
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(RiskError, match=r"^quantile primitive needs t in "
+                           r"\[0, 1\]$"):
             dist.quantile_primitive(nan)
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^uniform needs a < b, got "
+                           r"a=1.0, b=1.0$"):
             ReferenceDistribution("uniform", a=1.0, b=1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^normal needs sd > 0, got 0.0$"):
             ReferenceDistribution("normal", mean=0.0, sd=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^exponential needs rate > 0, "
+                           r"got -2.0$"):
             ReferenceDistribution("exponential", rate=-2.0)
 
     @pytest.mark.parametrize("kind,params", [
@@ -87,7 +91,7 @@ class TestAccessors:
     ])
     def test_parameters_that_are_not_numbers_are_refused(self, kind, params):
         # numeric strings and booleans converted to floats before
-        with pytest.raises(DomainError, match="parameters must be numbers"):
+        with pytest.raises(RiskError, match="parameters must be numbers"):
             ReferenceDistribution(kind, **params)
 
     def test_numpy_scalar_parameters_are_read(self):
@@ -126,7 +130,8 @@ class TestPopulationEs:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_alpha_validated(self, uniform01):
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(RiskError, match=r"^alpha must lie in \(0, 1\], "
+                           r"got 0.0$"):
             population_es(uniform01, 0.0)
 
 
@@ -191,9 +196,11 @@ class TestJson:
         assert distribution_to_json(dist) == obj
 
     def test_unknown_type(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^unknown distribution type "
+                           r"'lognormal'$"):
             distribution_from_json({"type": "lognormal"})
 
     def test_missing_field(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^distribution JSON is missing "
+                           r"required field 'sd'$"):
             distribution_from_json({"type": "normal", "mean": 0.0})

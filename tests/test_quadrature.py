@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from riskcore import expected_shortfall_spectrum
-from riskcore.errors import QuadratureFailure
+from riskcore.errors import RiskError
 from riskcore.quadrature import (
     DEFAULT_MAX_EVALS,
     DEFAULT_TOL,
@@ -94,10 +94,10 @@ class TestIntegratePiecewise:
             return np.sin(50.0 * x)
 
         for integrate in (integrate_piecewise, _running_at_b):
-            with pytest.raises(QuadratureFailure, match="budget"):
+            with pytest.raises(RiskError, match="budget"):
                 integrate(f, 0.0, 1.0, tol=1e-14, max_evals=14)
             # the budget counts points: 15 + 30 fit in 60, the next round not
-            with pytest.raises(QuadratureFailure, match="budget"):
+            with pytest.raises(RiskError, match="budget"):
                 integrate(f, 0.0, 1.0, tol=1e-14, max_evals=60)
 
     def test_non_finite_integrand_raises(self):
@@ -105,15 +105,15 @@ class TestIntegratePiecewise:
             return np.where(x < 0.7, 1.0, np.inf)
 
         for integrate in (integrate_piecewise, _running_at_b):
-            with pytest.raises(QuadratureFailure, match="non-finite"):
+            with pytest.raises(RiskError, match="non-finite"):
                 integrate(f, 0.0, 1.0)
-            with pytest.raises(QuadratureFailure, match="non-finite"):
+            with pytest.raises(RiskError, match="non-finite"):
                 integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
     def test_overflowing_integral_raises(self):
         # every value is finite, the integral is not
         with np.errstate(over="ignore"):
-            with pytest.raises(QuadratureFailure, match="overflows"):
+            with pytest.raises(RiskError, match="overflows"):
                 integrate_piecewise(
                     lambda x: np.full_like(x, 1e300), -1e300, 1e300
                 )
@@ -200,7 +200,8 @@ class TestRunningIntegral:
 
 class TestAdaptiveSimpson:
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(QuadratureFailure):
+        with pytest.raises(RiskError, match=r"^evaluation budget 9 exhausted "
+                           r"on \[0.0, 1.0\]$"):
             adaptive_simpson(lambda u: np.sin(50 * u), 0.0, 1.0, tol=1e-14,
                              max_evals=9)
 

@@ -18,7 +18,7 @@ from riskcore import (
     step_spectrum,
     uniform_spectrum,
 )
-from riskcore.errors import DomainError, NotLipschitz, NotMonotone, NotNormalised
+from riskcore.errors import RiskError
 from riskcore.core import WeightVector, ceil_level
 from riskcore.spectra import spectrum_to_json
 from conftest import draw_monotone_simplex, rational_level
@@ -41,7 +41,8 @@ class TestDensity:
 
     @pytest.mark.parametrize("u", [0.0, -0.2, 1.0001])
     def test_domain_errors(self, u):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^spectrum evaluated outside "
+                           r"\(0, 1\]: "):
             uniform_spectrum().density(u)
 
 
@@ -80,7 +81,8 @@ class TestPrimitive:
         assert np.max(np.abs(got - exact)) <= 4 * np.finfo(float).eps
 
     def test_primitive_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^primitive evaluated outside "
+                           r"\[0, 1\]: 1.2$"):
             uniform_spectrum().primitive(1.2)
 
 
@@ -107,7 +109,7 @@ class TestCanonicalWeights:
             assert np.max(np.abs(w.weights - expect)) < 1e-14
 
     def test_bad_n(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^n must be >= 1, got 0$"):
             canonical_weights(uniform_spectrum(), 0)
 
 
@@ -121,14 +123,14 @@ def reference_step(levels):
     def density(u):
         arr = np.asarray(u, dtype=np.float64)
         if np.any(arr <= 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"step spectrum evaluated outside (0, 1]: {u}")
+            raise RiskError(f"step spectrum evaluated outside (0, 1]: {u}")
         out = levels[np.clip(ceil_level(n, arr) - 1, 0, n - 1)]
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
     def primitive(t):
         arr = np.asarray(t, dtype=np.float64)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError(f"step primitive evaluated outside [0, 1]: {t}")
+            raise RiskError(f"step primitive evaluated outside [0, 1]: {t}")
         j = ceil_level(n, arr)
         k = np.clip(np.where(j / n <= arr, j, j - 1), 0, n - 1)
         out = cum[k] + (arr - k / n) * levels[k]
@@ -153,7 +155,8 @@ class TestStepSpectrum:
                            atol=1e-14)
 
     def test_requires_certificate(self):
-        with pytest.raises(NotMonotone):
+        with pytest.raises(RiskError, match=r"^step_spectrum requires a "
+                           r"certified monotone vector$"):
             step_spectrum(WeightVector([0.5, 0.5]))
 
     def test_reconstruction_integrates_to_one(self):
@@ -168,7 +171,8 @@ class TestStepSpectrum:
         w = np.full(n, 1.0 / n)
         w[n // 2] += 5e-16
         a = WeightVector(w, monotone=True)
-        with pytest.raises(NotMonotone):
+        with pytest.raises(RiskError, match=r"^step spectrum is not "
+                           r"non-increasing$"):
             step_spectrum(a)
 
     def test_is_a_spectrum_without_a_lipschitz_constant(self):
@@ -177,19 +181,23 @@ class TestStepSpectrum:
         assert step.kind == "step" and step.lipschitz is None
         assert step.breakpoints == (0.25, 0.5, 0.75)
         assert step.bound == step.params["levels"][0]
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^spectrum evaluated outside "
+                           r"\(0, 1\]: 0.0$"):
             step.density(0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^primitive evaluated outside "
+                           r"\[0, 1\]: 1.5$"):
             step.primitive(1.5)
 
     def test_drivers_refuse_it(self, std_normal):
         from riskcore import LipschitzClass, RngSpec, clt_check
-        from riskcore.errors import NotLipschitz
 
         step = step_spectrum(canonical_weights(linear_spectrum(1.0), 4))
-        with pytest.raises(NotLipschitz):
+        with pytest.raises(RiskError, match=r"^step spectrum is not "
+                           r"Lipschitz; the CLT and bootstrap diagnostics "
+                           r"require a Lipschitz spectrum$"):
             clt_check(step, std_normal, 10, 5, RngSpec(1))
-        with pytest.raises(NotLipschitz):
+        with pytest.raises(RiskError, match=r"^step spectrum carries no "
+                           r"Lipschitz constant$"):
             LipschitzClass([step])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 11, 100, 257, 1000])
@@ -258,7 +266,8 @@ class TestPrimitiveGap:
             assert gaps[-1] < 1e-2
 
     def test_grid_size_validated(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^grid_size must be >= 2, got "
+                           r"1$"):
             primitive_gap(uniform_spectrum(), 4, 1)
 
 
@@ -296,15 +305,18 @@ class TestPiecewiseLinear:
         assert pw.bound == 2.0
 
     def test_rejects_increasing_values(self):
-        with pytest.raises(NotMonotone):
+        with pytest.raises(RiskError, match=r"^knot values must be "
+                           r"non-increasing$"):
             piecewise_linear_spectrum([[0.0, 0.5], [1.0, 1.5]])
 
     def test_rejects_bad_mass(self):
-        with pytest.raises(NotNormalised):
+        with pytest.raises(RiskError, match=r"^piecewise_linear spectrum "
+                           r"integrates to 0.75$"):
             piecewise_linear_spectrum([[0.0, 1.0], [1.0, 0.5]])
 
     def test_rejects_bad_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^knot positions must increase "
+                           r"strictly from 0 to 1$"):
             piecewise_linear_spectrum([[0.1, 1.0], [1.0, 1.0]])
 
     @pytest.mark.parametrize("knots", [
@@ -315,7 +327,7 @@ class TestPiecewiseLinear:
     def test_rejects_non_finite_knots(self, knots):
         # NaN passes every order and mass comparison, so it must be refused
         # before them
-        with pytest.raises(DomainError, match="knots must be finite"):
+        with pytest.raises(RiskError, match="knots must be finite"):
             piecewise_linear_spectrum(knots)
 
     @pytest.mark.parametrize("knots", [
@@ -326,13 +338,14 @@ class TestPiecewiseLinear:
         [[0.0, 1.0], [1.0]],
     ])
     def test_rejects_knots_that_are_not_numbers(self, knots):
-        with pytest.raises(DomainError, match="knots must be numbers$"):
+        with pytest.raises(RiskError, match="knots must be numbers$"):
             piecewise_linear_spectrum(knots)
 
 
 class TestValidation:
     def test_increasing_density_rejected(self):
-        with pytest.raises(NotMonotone):
+        with pytest.raises(RiskError, match=r"^uniform spectrum is not "
+                           r"non-increasing$"):
             Spectrum(
                 kind="uniform", params={}, bound=2.0, lipschitz=2.0,
                 density=lambda u: 2.0 * u,
@@ -340,7 +353,8 @@ class TestValidation:
             )
 
     def test_wrong_mass_rejected(self):
-        with pytest.raises(NotNormalised):
+        with pytest.raises(RiskError, match=r"^uniform spectrum integrates "
+                           r"to 2.0$"):
             Spectrum(
                 kind="uniform", params={}, bound=2.0, lipschitz=0.0,
                 density=lambda u: 2.0 * np.ones_like(u),
@@ -357,24 +371,27 @@ class TestValidation:
                 primitive=lambda t: t * (2.0 - t),
             )
 
-        with pytest.raises(NotLipschitz, match="faster than its Lipschitz"):
+        with pytest.raises(RiskError, match="faster than its Lipschitz"):
             build(1.9)
         assert build(2.0).lipschitz == 2.0
 
     def test_es_alpha_validated(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^es spectrum needs alpha in "
+                           r"\(0, 1\], got 0.0$"):
             expected_shortfall_spectrum(0.0)
 
     def test_exponential_k_validated(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^exponential spectrum needs k "
+                           r"> 0, got -1.0$"):
             exponential_spectrum(-1.0)
         # a subnormal k has too few digits to normalise with
-        with pytest.raises(DomainError, match="too small to normalise"):
+        with pytest.raises(RiskError, match="too small to normalise"):
             exponential_spectrum(1e-320)
         assert exponential_spectrum(sys.float_info.min).primitive(1.0) == 1.0
 
     def test_linear_slope_validated(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^linear spectrum needs slope "
+                           r"in \[0, 2\], got 2.5$"):
             linear_spectrum(2.5)
 
 
@@ -396,9 +413,11 @@ class TestJson:
         assert np.allclose(phi.density(grid), again.density(grid), atol=0)
 
     def test_unknown_type(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^unknown spectrum type "
+                           r"'cauchy'$"):
             spectrum_from_json({"type": "cauchy"})
 
     def test_missing_field(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RiskError, match=r"^spectrum JSON is missing "
+                           r"required field 'alpha'$"):
             spectrum_from_json({"type": "es"})
