@@ -37,8 +37,13 @@ class RngSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.seed) < 2**64):
+        # a bool is an int to Python, and a float or a string would be
+        # echoed in reports as given while the streams read int(seed)
+        seed = self.seed
+        whole = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not (whole and 0 <= int(seed) < 2**64):
             raise RiskError("seed must be a 64-bit unsigned integer")
+        self.seed = int(seed)
 
     def streams(self) -> Callable[[int], np.random.Generator]:
         """stream(i) -> a generator that draws exactly what a new
@@ -59,7 +64,7 @@ class RngSpec:
         bits = np.random.Philox(0)  # re-keyed before every use
         gen = np.random.Generator(bits)
         zeros = np.zeros(4, dtype=np.uint64)
-        key = np.array([int(self.seed), 0], dtype=np.uint64)
+        key = np.array([self.seed, 0], dtype=np.uint64)
         # the setter copies every field, so one state serves every key
         state = {
             "bit_generator": "Philox",
@@ -258,28 +263,18 @@ def truncated_kolmogorov(
 
 
 def wasserstein1(sample: Sample, dist: ReferenceDistribution) -> float:
-    """W1 distance as the CDF-difference integral over the line.
+    """W1 distance as the quantile-difference integral over (0, 1).
 
-    Between consecutive order statistics the empirical CDF is constant,
-    so each segment is an exact closed-form integral of |c - F| (split
-    at the crossing F = c); the tails use the analytic primitives of F
-    and 1 - F.
+    On ((i-1)/n, i/n] the empirical quantile is the order statistic x_i,
+    and the law's quantile lies at or below x_i exactly up to the level
+    F(x_i). Split there, each piece is an exact integral through the
+    quantile primitive Q, which is 0 at 0 and the mean at 1.
     """
     xs = np.sort(sample.values)
-    n = xs.size
-    total = float(dist.cdf_primitive(xs[0])) + float(dist.survival_primitive(xs[-1]))
-    if n == 1:
-        return total
-    c = np.arange(1, n, dtype=np.float64) / n
-    u, v = xs[:-1], xs[1:]
-    pu = np.asarray(dist.cdf_primitive(u), dtype=np.float64)
-    pv = np.asarray(dist.cdf_primitive(v), dtype=np.float64)
-    fu = np.asarray(dist.cdf(u), dtype=np.float64)
-    fv = np.asarray(dist.cdf(v), dtype=np.float64)
-    xc = np.clip(np.asarray(dist.quantile(c), dtype=np.float64), u, v)
-    pc = np.asarray(dist.cdf_primitive(xc), dtype=np.float64)
-    below = c * (v - u) - (pv - pu)          # F <= c on the whole segment
-    above = (pv - pu) - c * (v - u)          # F >= c on the whole segment
-    split = (c * (xc - u) - (pc - pu)) + ((pv - pc) - c * (v - xc))
-    seg = np.where(fv <= c, below, np.where(fu >= c, above, split))
-    return total + float(seg.sum())
+    k = np.arange(xs.size + 1, dtype=np.float64) / xs.size
+    a, b = k[:-1], k[1:]
+    c = np.clip(dist.cdf(xs), a, b)
+    qk, qc = dist.quantile_primitive(k), dist.quantile_primitive(c)
+    below = xs * (c - a) - (qc - qk[:-1])  # q <= x_i on (a, c]
+    above = (qk[1:] - qc) - xs * (b - c)  # q >= x_i on (c, b]
+    return float(np.sum(below + above))

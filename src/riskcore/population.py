@@ -1,6 +1,6 @@
-"""Reference distributions with exact CDF and quantile accessors and
-closed-form tail integrals, plus population risk values used as ground
-truth by the experiment drivers.
+"""Reference distributions with exact CDF and quantile accessors and the
+quantile's closed-form primitive, plus population risk values used as
+ground truth by the experiment drivers.
 
 scipy.special is imported inside the normal-law branches only: it is
 most of the cold-start cost of the CLI, and only normal laws need it.
@@ -52,6 +52,14 @@ class ReferenceDistribution:
     """
 
     def __init__(self, kind: str, **params: float):
+        if kind not in LAW_PARAMS:
+            raise RiskError(f"unknown distribution kind {kind!r}")
+        names = LAW_PARAMS[kind]
+        if set(params) != set(names):
+            raise RiskError(
+                f"{kind} takes the parameters {', '.join(names)}, "
+                f"got {', '.join(params) or 'none'}"
+            )
         # each value read on its own: beside a number, numpy reads a
         # boolean as that kind of number
         values = [number_array(value) for value in params.values()]
@@ -60,9 +68,7 @@ class ReferenceDistribution:
         params = dict(zip(params, map(float, values)))
         if not all(map(math.isfinite, params.values())):
             raise RiskError(f"{kind} parameters must be finite: {params}")
-        if kind not in LAW_PARAMS:
-            raise RiskError(f"unknown distribution kind {kind!r}")
-        params = {key: params[key] for key in LAW_PARAMS[kind]}
+        params = {key: params[key] for key in names}
         if kind == "uniform" and not params["a"] < params["b"]:
             a, b = params["a"], params["b"]
             raise RiskError(f"uniform needs a < b, got a={a}, b={b}")
@@ -139,7 +145,8 @@ class ReferenceDistribution:
     # -- exact integral helpers --------------------------------------------
 
     def quantile_primitive(self, t: Floats) -> Floats:
-        """Integral of the quantile over [0, t], in closed form."""
+        """Integral of the quantile over [0, t], in closed form: 0 at
+        t = 0 and the law's mean at t = 1."""
         t = np.asarray(t, dtype=np.float64)
         if not ((t >= 0.0) & (t <= 1.0)).all():  # NaN is refused too
             raise RiskError("quantile primitive needs t in [0, 1]")
@@ -164,49 +171,6 @@ class ReferenceDistribution:
             out = (term + t) / rate
         else:
             out = self.params["c"] * t
-        return float(out) if out.ndim == 0 else out
-
-    def cdf_primitive(self, x: Floats) -> Floats:
-        """Integral of the CDF from the lower end of the support to x."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "uniform":
-            a, b = self.params["a"], self.params["b"]
-            inside = np.square(np.clip(x, a, b) - a) / (2.0 * (b - a))
-            out = inside + np.maximum(x - b, 0.0)
-        elif self.kind == "normal":
-            from scipy.special import ndtr
-
-            mean, sd = self.params["mean"], self.params["sd"]
-            z = (x - mean) / sd
-            out = sd * (z * ndtr(z) + _phi(z))
-        elif self.kind == "exponential":
-            rate = self.params["rate"]
-            xp = np.maximum(x, 0.0)
-            out = xp + np.expm1(-rate * xp) / rate
-        else:
-            out = np.maximum(x - self.params["c"], 0.0)
-        return float(out) if out.ndim == 0 else out
-
-    def survival_primitive(self, x: Floats) -> Floats:
-        """Integral of 1 - CDF from x to the upper end of the support."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "uniform":
-            a, b = self.params["a"], self.params["b"]
-            inside = np.square(b - np.clip(x, a, b)) / (2.0 * (b - a))
-            out = inside + np.maximum(a - x, 0.0)
-        elif self.kind == "normal":
-            from scipy.special import ndtr
-
-            mean, sd = self.params["mean"], self.params["sd"]
-            z = (x - mean) / sd
-            out = sd * (_phi(z) - z * (1.0 - ndtr(z)))
-        elif self.kind == "exponential":
-            rate = self.params["rate"]
-            out = np.where(
-                x < 0.0, -x + 1.0 / rate, np.exp(-rate * np.maximum(x, 0.0)) / rate
-            )
-        else:
-            out = np.maximum(self.params["c"] - x, 0.0)
         return float(out) if out.ndim == 0 else out
 
 

@@ -1,5 +1,8 @@
 """RNG streams, bootstrap, influence/variance integrals, and distances."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,24 @@ class TestRngSpec:
         with pytest.raises(RiskError, match=r"^seed must be a 64-bit "
                            r"unsigned integer$"):
             RngSpec(2**64)
+
+    @pytest.mark.parametrize("seed", [
+        1.5, 3.0, "3", "abc", True, np.bool_(True), None, float("nan"),
+        np.float64(2.0),
+    ], ids=repr)
+    def test_seed_that_is_not_an_integer_is_refused(self, seed):
+        # a float or a string was echoed in reports while the streams
+        # read int(seed); None, NaN and "abc" raised bare Python errors
+        with pytest.raises(RiskError, match=r"^seed must be a 64-bit "
+                           r"unsigned integer$"):
+            RngSpec(seed)
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7), np.uint64(7)], ids=repr)
+    def test_integer_seed_is_stored_as_int(self, seed):
+        rng = RngSpec(seed)
+        assert type(rng.seed) is int and rng.seed == 7
+        assert np.array_equal(rng.streams()(0).random(4),
+                              RngSpec(7).streams()(0).random(4))
 
     DRAWS = {
         "random": lambda g: g.random(9),
@@ -295,6 +316,47 @@ class TestWasserstein:
             oracle = np.trapezoid(np.abs(fn - dist.cdf(grid)), grid)
             assert wasserstein1(Sample(xs), dist) == pytest.approx(
                 oracle, abs=5e-4
+            )
+
+    @staticmethod
+    def _exact_uniform01(xs):
+        """W1 to U(0, 1) in rationals: on ((i-1)/n, i/n] the empirical
+        quantile is x_i and the law's quantile is u itself."""
+        xs = sorted(map(Fraction, xs))
+        n = len(xs)
+        total = Fraction(0)
+        for i, x in enumerate(xs):
+            a, b = Fraction(i, n), Fraction(i + 1, n)
+            c = min(max(x, a), b)
+            total += ((c - a) * (2 * x - a - c) + (b - c) * (b + c - 2 * x)) / 2
+        return total
+
+    @pytest.mark.parametrize("xs", [
+        [0.5], [-1.5], [2.25], [0.0, 1.0], [0.25, 0.375, 0.75],
+        [-1.5, 0.25, 0.375, 0.5, 0.75, 2.0],
+        [-0.125, 0.0625, 0.3125, 0.4375, 0.5, 0.96875, 1.0, 1.5, 3.0],
+        [0.1875] * 5 + [0.8125] * 2,
+    ])
+    def test_uniform_against_exact_rationals(self, uniform01, xs):
+        exact = float(self._exact_uniform01(xs))
+        assert wasserstein1(Sample(xs), uniform01) == pytest.approx(
+            exact, abs=1e-15
+        )
+
+    @pytest.mark.parametrize("x", [-40.0, -8.0, -2.5, -0.5, 0.0, 0.3, 0.5,
+                                   1.0, 1.7, 4.0, 12.0, 40.0])
+    def test_one_point_is_mean_absolute_deviation(
+        self, uniform01, std_normal, exponential1, x
+    ):
+        # W1 between the point mass at x and the law is E|X - x|
+        uniform = (x * x + (1 - x) ** 2) / 2 if 0 <= x <= 1 else abs(x - 0.5)
+        normal = (2 * math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
+                  + x * math.erf(x / math.sqrt(2)))
+        exponential = x - 1 + 2 * math.exp(-x) if x >= 0 else 1 - x
+        for dist, exact in [(uniform01, uniform), (std_normal, normal),
+                            (exponential1, exponential)]:
+            assert wasserstein1(Sample([x]), dist) == pytest.approx(
+                exact, rel=1e-14
             )
 
     def test_shrinks_with_n(self, std_normal):

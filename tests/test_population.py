@@ -13,7 +13,7 @@ from riskcore import (
     uniform_spectrum,
 )
 from riskcore.errors import RiskError
-from riskcore.population import distribution_to_json
+from riskcore.population import LAW_PARAMS, distribution_to_json
 from riskcore.quadrature import adaptive_simpson
 
 ALL_KINDS = ["uniform01", "std_normal", "exponential1"]
@@ -39,22 +39,13 @@ class TestAccessors:
         assert np.max(np.abs(dist.quantile(dist.cdf(x)) - x)) < 1e-9
 
     @pytest.mark.parametrize("name", ALL_KINDS)
-    def test_cdf_primitive_differentiates_to_cdf(self, dists, name):
+    def test_quantile_primitive_differentiates_to_quantile(self, dists, name):
         dist = dists[name]
         h = 1e-6
-        x = np.asarray(dist.quantile(np.linspace(0.05, 0.95, 40)))
-        fd = (np.asarray(dist.cdf_primitive(x + h))
-              - np.asarray(dist.cdf_primitive(x - h))) / (2 * h)
-        assert np.max(np.abs(fd - np.asarray(dist.cdf(x)))) < 1e-6
-
-    @pytest.mark.parametrize("name", ALL_KINDS)
-    def test_survival_primitive_differentiates_to_survival(self, dists, name):
-        dist = dists[name]
-        h = 1e-6
-        x = np.asarray(dist.quantile(np.linspace(0.05, 0.95, 40)))
-        fd = (np.asarray(dist.survival_primitive(x + h))
-              - np.asarray(dist.survival_primitive(x - h))) / (2 * h)
-        assert np.max(np.abs(fd + (1.0 - np.asarray(dist.cdf(x))))) < 1e-6
+        u = np.linspace(0.05, 0.95, 40)
+        fd = (np.asarray(dist.quantile_primitive(u + h))
+              - np.asarray(dist.quantile_primitive(u - h))) / (2 * h)
+        assert np.max(np.abs(fd - np.asarray(dist.quantile(u)))) < 1e-8
 
     @pytest.mark.parametrize("name", ALL_KINDS + ["point_mass3"])
     @pytest.mark.parametrize("nan", [np.nan, np.array([0.5, np.nan])],
@@ -93,6 +84,25 @@ class TestAccessors:
         # numeric strings and booleans converted to floats before
         with pytest.raises(RiskError, match="parameters must be numbers"):
             ReferenceDistribution(kind, **params)
+
+    @pytest.mark.parametrize("kind,params,got", [
+        ("normal", {"mean": 0.0}, "mean"),
+        ("normal", {"mean": 0.0, "sd": 1.0, "rate": 3.0}, "mean, sd, rate"),
+        ("uniform", {"a": 0.0, "c": 1.0}, "a, c"),
+        ("exponential", {}, "none"),
+        ("point_mass", {"c": "x", "a": 1.0}, "c, a"),
+    ])
+    def test_wrong_parameter_names_are_refused(self, kind, params, got):
+        # a missing name raised KeyError, and an extra one was dropped
+        names = ", ".join(LAW_PARAMS[kind])
+        with pytest.raises(RiskError, match=rf"^{kind} takes the parameters "
+                           rf"{names}, got {got}$"):
+            ReferenceDistribution(kind, **params)
+
+    def test_unknown_kind_is_refused_before_its_parameters(self):
+        with pytest.raises(RiskError, match=r"^unknown distribution kind "
+                           r"'gamma'$"):
+            ReferenceDistribution("gamma", shape="x")
 
     def test_numpy_scalar_parameters_are_read(self):
         law = ReferenceDistribution("normal", mean=np.int32(1),
