@@ -10,7 +10,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import Sample
+from .core import BLOCK_FLOATS, Sample
 from .errors import RiskError
 from .population import ReferenceDistribution
 from .quadrature import DEFAULT_MAX_EVALS, integrate_piecewise, running_integral
@@ -83,11 +83,6 @@ class RngSpec:
         return stream
 
 
-#: sample values the replicate kernel sorts and negates at once; a
-#: replicate longer than this forms a block of its own
-BLOCK_FLOATS = 2**14
-
-
 def indexed_map(
     fn: Callable[[int], np.ndarray], count: int, weights: np.ndarray
 ) -> np.ndarray:
@@ -110,23 +105,25 @@ def indexed_map(
     return np.array(estimates)
 
 
-def _spectrum_at_cdf(
+def _spectrum_on_levels(
     phi: Spectrum, dist: ReferenceDistribution
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> phi(F(t)) on arrays, clamped into the spectrum's open domain.
+    """u -> phi(u) on arrays of levels u = F(t), clamped into the
+    spectrum's open domain.
 
     Substituting u = F(x) turns every q'-weighted integral over (0, 1)
     into an integral of bounded functions over the quantile range: the
     Jacobian absorbs the quantile derivative exactly. All influence and
-    variance quadrature happens in x-space for that reason.
+    variance quadrature happens in x-space for that reason, and each
+    integrand computes F once per node and hands the levels here.
     """
     if dist.kind == "point_mass":
         raise RiskError("influence analysis needs a distribution with a density")
 
-    def phi_f(t: np.ndarray) -> np.ndarray:
-        return phi.density(np.clip(dist.cdf(t), 1e-300, 1.0))
+    def phi_u(u: np.ndarray) -> np.ndarray:
+        return phi.density(np.clip(u, 1e-300, 1.0))
 
-    return phi_f
+    return phi_u
 
 
 def _quantile_cuts(
@@ -147,19 +144,23 @@ def influence_function(
     Psi(hi_x) - Psi(clip(x)) - integral of F*phi(F) over [lo_x, hi_x],
     with Psi the running integral of phi(F) from lo_x, cut at every x.
     """
-    phi_f = _spectrum_at_cdf(phi, dist)
+    phi_u = _spectrum_on_levels(phi, dist)
     lo, hi = INFLUENCE_EDGE, 1.0 - INFLUENCE_EDGE
     lo_x, hi_x = float(dist.quantile(lo)), float(dist.quantile(hi))
     cuts = _quantile_cuts(phi, dist, lo, hi)
     xs = np.clip(np.asarray(x, dtype=np.float64), lo_x, hi_x)
     # each x needs a panel of its own, so the budget grows with them
     psi = running_integral(
-        phi_f, lo_x, hi_x, np.append(cuts, xs).tolist(),
+        lambda t: phi_u(dist.cdf(t)), lo_x, hi_x, np.append(cuts, xs).tolist(),
         0.5 * INFLUENCE_TOL, DEFAULT_MAX_EVALS + 30 * xs.size,
     )
+
+    def mass_density(t: np.ndarray) -> np.ndarray:
+        u = dist.cdf(t)
+        return u * phi_u(u)
+
     mass = integrate_piecewise(
-        lambda t: dist.cdf(t) * phi_f(t),
-        lo_x, hi_x, breakpoints=cuts, tol=0.5 * INFLUENCE_TOL,
+        mass_density, lo_x, hi_x, breakpoints=cuts, tol=0.5 * INFLUENCE_TOL,
     )
     out = psi(hi_x) - psi(xs) - mass
     return float(out) if xs.ndim == 0 else out
@@ -179,26 +180,28 @@ def asymptotic_variance(phi: Spectrum, dist: ReferenceDistribution) -> float:
     truncation biases it low on unbounded laws: by 3.9e-6 for the uniform
     spectrum on N(0, 1), and by 2.8e-5 on Exp(1).
     """
-    phi_f = _spectrum_at_cdf(phi, dist)
+    phi_u = _spectrum_on_levels(phi, dist)
     lo, hi = VARIANCE_DELTA, 1.0 - VARIANCE_DELTA
     lo_x, hi_x = float(dist.quantile(lo)), float(dist.quantile(hi))
     cuts = _quantile_cuts(phi, dist, lo, hi)
 
     def inner(s: np.ndarray) -> np.ndarray:
-        return dist.cdf(s) * phi_f(s)
+        u = dist.cdf(s)
+        return u * phi_u(u)
 
     # the inner integral over [lo_x, t], for all outer nodes in one call
     below = running_integral(inner, lo_x, hi_x, cuts, 1e-12)
 
     def outer(t: np.ndarray) -> np.ndarray:
-        return (1.0 - dist.cdf(t)) * phi_f(t) * below(t)
+        u = dist.cdf(t)
+        return (1.0 - u) * phi_u(u) * below(t)
 
-    # coarse pass fixes the magnitude, the second pass delivers 1e-6
-    # relative accuracy (never looser than the absolute VARIANCE_TOL)
-    coarse = integrate_piecewise(outer, lo_x, hi_x, breakpoints=cuts, tol=1e-6)
-    eff_tol = max(1e-13, min(VARIANCE_TOL, 1e-7 * abs(coarse)))
+    # the value at 1e-6 fixes the magnitude; its partition is then refined
+    # to 1e-6 relative accuracy (never looser than the absolute
+    # VARIANCE_TOL), re-evaluating no panel
     total = 2.0 * integrate_piecewise(
-        outer, lo_x, hi_x, breakpoints=cuts, tol=eff_tol
+        outer, lo_x, hi_x, breakpoints=cuts, tol=1e-6,
+        refine=lambda coarse: max(1e-13, min(VARIANCE_TOL, 1e-7 * abs(coarse))),
     )
     if not math.isfinite(total):
         raise RiskError("variance integrand diverged")

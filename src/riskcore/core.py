@@ -30,6 +30,9 @@ SHOWN_CHARS = 80
 #: a grid size. At 2^31 - 1 a product of two sizes fits an int64 and every
 #: level k <= n is exact in float64; a float64 array this long is 16 GiB.
 MAX_SIZE = 2**31 - 1
+#: sample values a kernel over rows (replicates, oracle rows) sorts and
+#: negates at once; a row longer than this forms a block of its own
+BLOCK_FLOATS = 2**14
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 

@@ -4,11 +4,12 @@ black-box weight recovery for comonotonic law-invariant estimators."""
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import Mixture, RepresentingSet, Sample, WeightVector
+from .core import BLOCK_FLOATS, Mixture, RepresentingSet, Sample, WeightVector
 from .errors import RiskError
 
 #: slack separating float noise from a genuine axiom violation in recovery
@@ -121,8 +122,9 @@ def oracle_values(oracle: Oracle, rows: Iterable[np.ndarray]) -> np.ndarray:
     a RiskError. The diagnostic names the sample size, not the
     sample, to stay one line.
 
-    An oracle with a `batch` method (SubprocessOracle) gets the rows in one
-    call, which may send them all before it reads a reply; any other
+    An oracle with a `batch` method (SubprocessOracle, l_estimator_oracle)
+    gets the rows in one call, which may send them all before it reads a
+    reply or evaluate them a block at a time; any other
     callable is called row by row. Either way every row is evaluated before
     the values are checked. Rows are consumed as they are sent, so a
     generator never has all of them in memory."""
@@ -148,11 +150,30 @@ def oracle_values(oracle: Oracle, rows: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def l_estimator_oracle(a: WeightVector) -> Oracle:
-    """The estimator induced by a sorted-domain weight vector, as a plain
+    """The estimator induced by a sorted-domain weight vector, as a
     callable on raw value arrays (the form probes and axiom checks use)."""
-    weights = a.weights
+    return _LEstimatorOracle(a.weights)
 
-    def oracle(values: np.ndarray) -> float:
-        return float(np.dot(weights, -np.sort(np.asarray(values, dtype=np.float64))))
 
-    return oracle
+class _LEstimatorOracle:
+    """batch sorts and negates blocks of at most BLOCK_FLOATS values (or
+    one row); each row gets a dot product of its own, as in a call."""
+
+    def __init__(self, weights: np.ndarray) -> None:
+        self.weights = weights
+
+    def __call__(self, values: np.ndarray) -> float:
+        return float(self.batch([values])[0])
+
+    def batch(self, rows: Iterable[np.ndarray]) -> np.ndarray:
+        n, rows, values = self.weights.size, iter(rows), [np.empty(0)]
+        per = max(1, BLOCK_FLOATS // n)
+        while block := list(islice(rows, per)):
+            block = [np.asarray(x, dtype=np.float64) for x in block]
+            for x in block:
+                if x.shape != (n,):
+                    raise RiskError(f"weights have length {n}, sample {x.size}")
+            block = np.array(block)
+            block.sort(axis=1)
+            values.append(np.vecdot(np.negative(block, out=block), self.weights))
+        return np.concatenate(values)

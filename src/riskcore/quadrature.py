@@ -6,7 +6,10 @@ through one globally adaptive Gauss-Kronrod G7K15 panel partition
 integrate_piecewise for a definite integral over [a, b], running_integral
 for t -> the integral over [a, t]. Each refinement round evaluates the
 integrand once, on a (panels, 15) node array, so integrands take and
-return numpy arrays. adaptive_simpson is the scalar recursive Simpson
+return numpy arrays; a panel's value does not depend on the other panels
+of its round. As in QUADPACK, a partition keeps its panels' error
+estimates, so it can be refined to a stricter tolerance without starting
+over. adaptive_simpson is the scalar recursive Simpson
 rule; the library no longer calls it, and it is kept as an independent
 scalar reference for tests.
 """
@@ -14,7 +17,7 @@ scalar reference for tests.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,13 +142,15 @@ def _gauss_kronrod(
         raise RiskError(
             f"non-finite integrand on [{float(lo.min())}, {float(hi.max())}]"
         )
-    k15 = half * (fx @ _KRONROD)
-    g7 = half * (fx @ _GAUSS)
+    # one dot product per row: a matrix product's row results depend on
+    # where the row sits in the batch, and a panel's must not
+    k15 = half * np.vecdot(fx, _KRONROD)
+    g7 = half * np.vecdot(fx, _GAUSS)
     if not (np.all(np.isfinite(k15)) and np.all(np.isfinite(g7))):
         raise RiskError(
             f"integral overflows on [{float(lo.min())}, {float(hi.max())}]"
         )
-    return k15, np.abs(k15 - g7), np.abs(half) * (np.abs(fx) @ _KRONROD)
+    return k15, np.abs(k15 - g7), np.abs(half) * np.vecdot(np.abs(fx), _KRONROD)
 
 
 def _panels(
@@ -155,6 +160,7 @@ def _panels(
     breakpoints: Sequence[float],
     tol: float,
     max_evals: int,
+    refine: Optional[Callable[[float], float]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Adaptive partition of [a, b] (a < b) into accepted G7K15 panels.
 
@@ -164,35 +170,46 @@ def _panels(
     when it is too narrow to bisect; every other panel is bisected and
     the halves go to the next round. Returns the starts and the K15
     values of the accepted panels in ascending order.
+
+    With refine, the accepted panels are judged again at the tolerance
+    refine(integral at tol). A stricter pass bisects every panel a looser
+    one bisects, so this gives the panels and evaluation count of a
+    fresh pass at the stricter of the two tolerances.
     """
     cuts = np.array(sorted({a, b, *(t for t in breakpoints if a < t < b)}))
     lo, hi = cuts[:-1], cuts[1:]
-    share = tol / (b - a)
-    done_lo, done_val = [], []
-    evals = 0
-    while lo.size:
-        evals += _POINTS * lo.size
-        if evals > max_evals:
-            raise RiskError(
-                f"evaluation budget {max_evals} exhausted on [{a}, {b}]"
+    # rows: lo, hi, K15, |K15 - G7|, K15 of |f|; one column per panel
+    panels, done, evals = np.empty((5, 0)), [], 0
+    while True:
+        share = tol / (b - a)
+        while lo.size or panels.size:
+            if lo.size:
+                evals += _POINTS * lo.size
+                if evals > max_evals:
+                    raise RiskError(
+                        f"evaluation budget {max_evals} exhausted on [{a}, {b}]"
+                    )
+                panels = np.stack([lo, hi, *_gauss_kronrod(f, lo, hi)])
+            lo, hi, _, err, scale = panels
+            mid = 0.5 * (lo + hi)
+            ok = (
+                (err <= share * (hi - lo))
+                | (err <= _ROUNDOFF * scale)
+                | (mid <= lo) | (mid >= hi)
             )
-        value, err, scale = _gauss_kronrod(f, lo, hi)
-        mid = 0.5 * (lo + hi)
-        ok = (
-            (err <= share * (hi - lo))
-            | (err <= _ROUNDOFF * scale)
-            | (mid <= lo) | (mid >= hi)
-        )
-        done_lo.append(lo[ok])
-        done_val.append(value[ok])
-        split = ~ok
-        lo, hi = (
-            np.concatenate([lo[split], mid[split]]),
-            np.concatenate([mid[split], hi[split]]),
-        )
-    lo, val = np.concatenate(done_lo), np.concatenate(done_val)
-    order = np.argsort(lo, kind="stable")
-    return lo[order], val[order]
+            done.append(panels[:, ok])
+            # every judged panel is kept or bisected; the halves come next
+            split, panels = ~ok, panels[:, :0]
+            lo, hi = (
+                np.concatenate([lo[split], mid[split]]),
+                np.concatenate([mid[split], hi[split]]),
+            )
+        done = np.concatenate(done, axis=1)
+        done = done[:, np.argsort(done[0], kind="stable")]
+        if refine is None:
+            return done[0], done[2]
+        tol, refine = refine(float(done[2].sum())), None
+        panels, done = done, []
 
 
 def integrate_piecewise(
@@ -202,6 +219,7 @@ def integrate_piecewise(
     breakpoints: Sequence[float] = (),
     tol: float = DEFAULT_TOL,
     max_evals: int = DEFAULT_MAX_EVALS,
+    refine: Optional[Callable[[float], float]] = None,
 ) -> float:
     """Integrate the vectorised f over [a, b] to absolute tolerance tol.
 
@@ -209,14 +227,18 @@ def integrate_piecewise(
     kink or jump. Raises RiskError when more than max_evals
     integrand points would be needed, when f returns a non-finite value,
     or when the integral overflows.
+
+    With refine, the value at tol is refined to the tolerance
+    refine(value), as a second call would, re-evaluating no panel.
     """
     if a == b:
         return 0.0
     if b < a:
         return -integrate_piecewise(
-            f, b, a, breakpoints=breakpoints, tol=tol, max_evals=max_evals
+            f, b, a, breakpoints=breakpoints, tol=tol, max_evals=max_evals,
+            refine=None if refine is None else lambda v: refine(-v),
         )
-    return float(_panels(f, a, b, breakpoints, tol, max_evals)[1].sum())
+    return float(_panels(f, a, b, breakpoints, tol, max_evals, refine)[1].sum())
 
 
 def running_integral(

@@ -1,5 +1,6 @@
 """Reference numerics only tests use: a keyed-Philox stream, the
-influence-function table and the Kusuoka plug-in surrogate bounds."""
+influence-function table, the variance integral as two fresh passes and
+the Kusuoka plug-in surrogate bounds."""
 
 from typing import Sequence, Tuple
 
@@ -7,9 +8,10 @@ import numpy as np
 
 from riskcore import (ReferenceDistribution, RepresentingSet, Sample, Spectrum,
                       discrete_es_profile, influence_function, kusuoka_plugin)
-from riskcore.asymptotics import INFLUENCE_EDGE
+from riskcore.asymptotics import INFLUENCE_EDGE, VARIANCE_DELTA, VARIANCE_TOL
 from riskcore.core import ceil_level
 from riskcore.errors import RiskError
+from riskcore.quadrature import integrate_piecewise, running_integral
 
 
 def keyed_philox(seed: int, i: int) -> np.random.Generator:
@@ -36,6 +38,28 @@ def influence_table(
     grid = np.unique(np.concatenate(pieces + [np.asarray(phi.breakpoints)]))
     grid = grid[(grid >= lo) & (grid <= hi)]
     return grid, influence_function(phi, dist, dist.quantile(grid))
+
+
+def two_pass_variance(phi: Spectrum, dist: ReferenceDistribution) -> float:
+    """asymptotic_variance's double integral, its outer integral done as
+    two fresh integrate_piecewise calls: one at 1e-6 for the magnitude,
+    then one at the tolerance that magnitude sets."""
+    lo, hi = VARIANCE_DELTA, 1.0 - VARIANCE_DELTA
+    lo_x, hi_x = float(dist.quantile(lo)), float(dist.quantile(hi))
+    cuts = tuple(float(dist.quantile(b)) for b in phi.breakpoints if lo < b < hi)
+
+    def density(t):
+        return phi.density(np.clip(dist.cdf(t), 1e-300, 1.0))
+
+    below = running_integral(
+        lambda s: dist.cdf(s) * density(s), lo_x, hi_x, cuts, 1e-12)
+
+    def outer(t):
+        return (1.0 - dist.cdf(t)) * density(t) * below(t)
+
+    coarse = integrate_piecewise(outer, lo_x, hi_x, cuts, 1e-6)
+    fine = max(1e-13, min(VARIANCE_TOL, 1e-7 * abs(coarse)))
+    return max(2.0 * integrate_piecewise(outer, lo_x, hi_x, cuts, fine), 0.0)
 
 
 def kusuoka_tightness_gap(

@@ -18,6 +18,7 @@ from riskcore import (
     influence_function,
     kolmogorov_distance,
     linear_spectrum,
+    piecewise_linear_spectrum,
     truncated_kolmogorov,
     uniform_spectrum,
     wasserstein1,
@@ -26,7 +27,7 @@ from riskcore.asymptotics import BLOCK_FLOATS, indexed_map
 from riskcore.errors import RiskError
 from riskcore.harness import bundled_lipschitz_class, sample_from
 from riskcore.quadrature import adaptive_simpson
-from helpers import influence_table, keyed_philox
+from helpers import influence_table, keyed_philox, two_pass_variance
 
 
 class TestRngSpec:
@@ -494,6 +495,40 @@ class TestAsymptoticVariance:
         expect = (2 / alpha**2) * (alpha**3 / 6 - alpha**4 / 8)
         got = asymptotic_variance(expected_shortfall_spectrum(alpha), uniform01)
         assert got == pytest.approx(expect, abs=1e-6)
+
+
+#: every spectrum the CLI, the stock experiments and the benchmark name
+VARIANCE_SPECTRA = {
+    "uniform": uniform_spectrum(),
+    "linear1": linear_spectrum(1.0),
+    "linear2": linear_spectrum(2.0),
+    "exp1": exponential_spectrum(1.0),
+    "exp2": exponential_spectrum(2.0),
+    "exp5": exponential_spectrum(5.0),
+    "es0.05": expected_shortfall_spectrum(0.05),
+    "es0.5": expected_shortfall_spectrum(0.5),
+    "piecewise": piecewise_linear_spectrum(
+        [[0.0, 1.6], [0.2, 1.2], [0.6, 0.8], [1.0, 0.8]]),
+}
+VARIANCE_LAWS = {
+    "U(0,1)": ("uniform", {"a": 0.0, "b": 1.0}),
+    "U(-3,7)": ("uniform", {"a": -3.0, "b": 7.0}),
+    "N(0,1)": ("normal", {"mean": 0.0, "sd": 1.0}),
+    "N(5,3)": ("normal", {"mean": 5.0, "sd": 3.0}),
+    "Exp(1)": ("exponential", {"rate": 1.0}),
+    "Exp(3)": ("exponential", {"rate": 3.0}),
+}
+
+
+@pytest.mark.parametrize("law", VARIANCE_LAWS)
+@pytest.mark.parametrize("spectrum", VARIANCE_SPECTRA)
+def test_variance_refinement_is_two_fresh_passes(spectrum, law):
+    # the refined partition gives the bits of a fresh pass at the fine
+    # tolerance after a fresh pass at the coarse one
+    kind, params = VARIANCE_LAWS[law]
+    dist = ReferenceDistribution(kind, **params)
+    phi = VARIANCE_SPECTRA[spectrum]
+    assert asymptotic_variance(phi, dist) == two_pass_variance(phi, dist)
 
 
 class TestInfluenceMonteCarlo:

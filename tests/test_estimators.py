@@ -2,6 +2,7 @@
 and black-box weight recovery."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from riskcore import (
     expected_shortfall_spectrum,
     kusuoka_plugin,
     l_estimate,
+    linear_spectrum,
     l_estimator_oracle,
     mixture_estimate,
     recover_comonotonic_weights,
@@ -27,8 +29,10 @@ from riskcore import (
     sort_sample,
     step_spectrum,
     t_map,
+    uniform_spectrum,
 )
 from riskcore.errors import RiskError
+from riskcore.core import BLOCK_FLOATS
 from riskcore.estimators import oracle_values
 from conftest import draw_monotone_simplex, draw_simplex
 
@@ -347,3 +351,49 @@ class TestOracleValues:
         rec = recover_comonotonic_weights(oracle, 6)
         assert oracle.batches == [7]
         assert rec.weights.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+class TestLEstimatorOracle:
+    def test_wrong_length_is_refused(self):
+        oracle = l_estimator_oracle(canonical_weights(uniform_spectrum(), 8))
+        for values in (np.zeros(5), np.zeros(9), np.zeros((2, 4)), 3.0):
+            with pytest.raises(RiskError, match=r"^weights have length 8, "
+                               r"sample \d+$"):
+                oracle(values)
+        with pytest.raises(RiskError, match=r"^weights have length 8, sample 5$"):
+            oracle(np.zeros(5))
+        with pytest.raises(RiskError, match=r"^weights have length 8, sample 7$"):
+            oracle_values(oracle, [np.zeros(8), np.zeros(7)])
+        with pytest.raises(RiskError, match=r"^weights have length 8, sample 4$"):
+            recover_comonotonic_weights(oracle, 4)
+
+    @pytest.mark.parametrize("n", [2, 7, 1000, BLOCK_FLOATS // 3 + 1])
+    def test_every_row_is_its_plug_in_estimate(self, n):
+        a = canonical_weights(linear_spectrum(2.0), n)
+        oracle = l_estimator_oracle(a)
+        gen = np.random.default_rng(n)
+        rows = [gen.standard_normal(n) for _ in range(7)]
+        values = oracle_values(oracle, iter(rows))
+        assert values.tolist() == [oracle(x) for x in rows] == [
+            float(np.dot(a.weights, -np.sort(x))) for x in rows]
+        assert values.tolist() == [l_estimate(a, Sample(x)) for x in rows]
+
+    def test_a_batch_holds_one_block_of_rows(self):
+        n = BLOCK_FLOATS // 4
+        oracle = l_estimator_oracle(canonical_weights(uniform_spectrum(), n))
+        alive, most = [0], [0]
+
+        def gone():
+            alive[0] -= 1
+
+        def rows():
+            for i in range(13):
+                x = np.full(n, float(i))
+                alive[0] += 1
+                weakref.finalize(x, gone)
+                most[0] = max(most[0], alive[0])
+                yield x
+                del x
+
+        assert oracle.batch(rows()).tolist() == [-float(i) for i in range(13)]
+        assert most[0] <= 4 + 1

@@ -136,6 +136,23 @@ class TestCheckAxioms:
                            r"sample of 3 values$"):
             check_axioms(lambda v: float("nan"), 3, 5, RngSpec(0))
 
+    def test_wrong_length_l_estimator_is_refused(self):
+        oracle = l_estimator_oracle(canonical_weights(uniform_spectrum(), 8))
+        with pytest.raises(RiskError, match=r"^weights have length 8, sample 5$"):
+            check_axioms(oracle, 5, 10, RngSpec(0))
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (8, 3), (20, 7), (300, 2)])
+    def test_blocked_l_estimator_reports_as_row_by_row(self, n, seed):
+        a = canonical_weights(exponential_spectrum(2.0), n)
+        oracle = l_estimator_oracle(a)
+
+        def rows(values):
+            return float(np.dot(a.weights, -np.sort(values)))
+
+        blocked = check_axioms(oracle, n, 150, RngSpec(seed))
+        stepwise = check_axioms(rows, n, 150, RngSpec(seed))
+        assert json.dumps(blocked.to_dict()) == json.dumps(stepwise.to_dict())
+
     def test_deterministic(self):
         foil = lambda v: float(np.std(v, ddof=1))
         a = check_axioms(foil, 5, 100, RngSpec(5))

@@ -1,6 +1,7 @@
 """The G7K15 panel integrator: closed forms, limits, breakpoints, budget
-and failure semantics, one batched integrand call per round, and the
-running integral built on the same partition."""
+and failure semantics, one batched integrand call per round, panel values
+independent of their batch, the refinement of a partition to a stricter
+tolerance, and the running integral built on the same partition."""
 
 import ast
 import math
@@ -14,6 +15,7 @@ from riskcore.errors import RiskError
 from riskcore.quadrature import (
     DEFAULT_MAX_EVALS,
     DEFAULT_TOL,
+    _gauss_kronrod,
     _panels,
     adaptive_simpson,
     integrate_piecewise,
@@ -127,6 +129,96 @@ def _kink_primitive(t):
     # integral of |x - 0.3| over [0, t]
     t = np.asarray(t, dtype=np.float64)
     return np.where(t <= 0.3, 0.3 * t - 0.5 * t * t, 0.045 + 0.5 * (t - 0.3) ** 2)
+
+
+def _wavy(x):
+    return np.exp(np.sin(7.0 * x)) * np.cos(3.0 * x) + 0.1 * x
+
+
+class TestPanelValues:
+    def test_a_panel_is_its_own_value_in_any_batch(self):
+        gen = np.random.default_rng(11)
+        lo = gen.uniform(-3.0, 3.0, 954)
+        hi = lo + gen.uniform(1e-6, 2.0, lo.size)
+        batched = _gauss_kronrod(_wavy, lo, hi)
+        order = gen.permutation(lo.size)
+        shuffled = _gauss_kronrod(_wavy, lo[order], hi[order])
+        for got, again in zip(batched, shuffled):
+            assert np.array_equal(got[order], again)
+        for i in range(lo.size):
+            alone = _gauss_kronrod(_wavy, lo[i:i + 1], hi[i:i + 1])
+            assert [float(v[0]) for v in alone] == [float(v[i]) for v in batched]
+
+
+def _tolerance(fine):
+    """A refine callable giving the tolerance fine, recording its argument."""
+    seen = []
+
+    def refine(value):
+        seen.append(value)
+        return fine
+
+    return refine, seen
+
+
+class TestRefinement:
+    CASES = [
+        # (f, a, b, breakpoints, coarse tol, fine tol)
+        (_wavy, -2.0, 3.0, (), 1e-4, 1e-12),
+        (_wavy, 3.0, -2.0, (0.5,), 1e-6, 1e-10),
+        (_kink, 0.0, 1.0, (0.3,), 1e-3, 1e-13),
+        (lambda x: 1.0 / (1.0 + 400.0 * x * x), -1.0, 1.0, (), 1e-2, 1e-13),
+        (np.sqrt, 0.0, 1.0, (0.25, 0.5), 1e-6, 1e-6),
+    ]
+
+    @pytest.mark.parametrize("f,a,b,cuts,coarse,fine", CASES)
+    def test_equals_a_fresh_pass_at_each_tolerance(self, f, a, b, cuts,
+                                                   coarse, fine):
+        refine, seen = _tolerance(fine)
+        got = integrate_piecewise(f, a, b, cuts, coarse, refine=refine)
+        assert seen == [integrate_piecewise(f, a, b, cuts, coarse)]
+        assert got == integrate_piecewise(f, a, b, cuts, fine)
+
+    def test_a_looser_tolerance_keeps_the_first(self):
+        refine, _ = _tolerance(1e-2)
+        assert integrate_piecewise(_wavy, 0.0, 2.0, (), 1e-11, refine=refine) \
+            == integrate_piecewise(_wavy, 0.0, 2.0, (), 1e-11)
+
+    def test_evaluates_the_points_of_a_fresh_fine_pass(self):
+        def counting(points):
+            def f(x):
+                points.extend(x.ravel().tolist())
+                return _wavy(x)
+            return f
+
+        fresh, refined = [], []
+        integrate_piecewise(counting(fresh), -2.0, 3.0, (0.5,), 1e-12)
+        refine, _ = _tolerance(1e-12)
+        integrate_piecewise(counting(refined), -2.0, 3.0, (0.5,), 1e-4,
+                            refine=refine)
+        assert len(fresh) > 15 * 40
+        assert sorted(refined) == sorted(fresh)
+
+    def test_exhausts_the_budget_where_a_fresh_fine_pass_does(self):
+        points = []
+
+        def f(x):
+            points.append(x.size)
+            return _wavy(x)
+
+        integrate_piecewise(f, -2.0, 3.0, (), 1e-12)
+        need = sum(points)
+        refine, _ = _tolerance(1e-12)
+        for max_evals in (need - 15, need - 1, need, need + 15):
+            outcomes = []
+            for tol, refine_to in ((1e-12, None), (1e-4, refine)):
+                try:
+                    outcomes.append(integrate_piecewise(
+                        _wavy, -2.0, 3.0, (), tol, max_evals, refine_to))
+                except RiskError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert isinstance(outcomes[0], float) == (max_evals >= need)
 
 
 class TestRunningIntegral:
