@@ -283,10 +283,8 @@ class SubprocessOracle:
         self._to = self.proc.stdin.fileno()
         self._from = self.proc.stdout.fileno()
         os.set_blocking(self._to, False)
-        # reply bytes not yet parsed, and how many of the first of them are
-        # known to hold no line break
+        # reply bytes not yet parsed
         self._pending = bytearray()
-        self._scanned = 0
         # False while a batch is open and after one failed: replies may
         # then still be owed, so output is not counted as extra
         self._in_step = True
@@ -357,9 +355,9 @@ class SubprocessOracle:
 
     def _read_replies(self, replies: List[float], requested: int) -> None:
         """Read what the oracle has written and parse every complete reply
-        line, up to `requested` replies in all. The search for a line
-        break resumes where the last read left it, so every byte is
-        scanned once."""
+        line, up to `requested` replies in all. A pending line longer
+        than REPLY_MAX_BYTES is refused, so searching it again from its
+        start after each read rescans at most that many bytes."""
         chunk = os.read(self._from, 1 << 16)
         if not chunk:
             if not self._pending:
@@ -367,15 +365,14 @@ class SubprocessOracle:
             chunk = b"\n"  # a last reply without its newline
         buf = self._pending
         buf += chunk
-        start, scan = 0, self._scanned
+        start = 0
         while len(replies) < requested:
-            end = buf.find(b"\n", scan)
+            end = buf.find(b"\n", start)
             if (len(buf) if end < 0 else end) - start > REPLY_MAX_BYTES:
                 self.proc.kill()
                 raise RiskError(
                     f"oracle reply exceeds {REPLY_MAX_BYTES} bytes")
             if end < 0:
-                scan = len(buf)
                 break
             text = buf[start:end].decode("utf-8", "replace").strip()
             try:
@@ -384,9 +381,8 @@ class SubprocessOracle:
                 raise RiskError(
                     f"oracle replied with a non-number: {text!r}"
                 ) from None
-            start = scan = end + 1
+            start = end + 1
         del buf[:start]
-        self._scanned = scan - start
 
     def close(self) -> None:
         import select

@@ -45,13 +45,8 @@ AXIOM_TOL = 1e-9
 AXIOM_BLOCK = 64
 
 class LipschitzClass:
-    """A finite family of spectra with shared bound and Lipschitz constants.
-
-    Each member's own validation keeps it within its bound and its
-    Lipschitz constant, and so within the class constants, which are the
-    largest of the members'. Members without a declared Lipschitz constant
-    (the expected-shortfall family) are rejected.
-    """
+    """A finite family of spectra, each with a declared Lipschitz constant:
+    members without one (the expected-shortfall family) are rejected."""
 
     def __init__(self, members: Sequence[Spectrum]):
         members = tuple(members)
@@ -63,8 +58,6 @@ class LipschitzClass:
                     f"{phi.kind} spectrum carries no Lipschitz constant"
                 )
         self.members = members
-        self.class_C = float(max(phi.bound for phi in members))
-        self.class_L = float(max(phi.lipschitz for phi in members))
 
 
 def bundled_lipschitz_class() -> LipschitzClass:

@@ -1,6 +1,6 @@
 """Reference distributions with exact CDF and quantile accessors and the
-quantile's closed-form primitive, plus population risk values used as
-ground truth by the experiment drivers.
+quantile's closed-form primitive Q, plus population risk values, from Q
+alone, used as ground truth by the experiment drivers.
 
 scipy.special is imported inside the normal-law branches only: it is
 most of the cold-start cost of the CLI, and only normal laws need it.
@@ -20,13 +20,18 @@ from .spectra import Spectrum
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: truncation used when integrating unbounded quantiles; the removed
-#: mass is restored through exact analytic tail terms
+#: a law is refused when its quantile range over [TAIL_DELTA,
+#: 1 - TAIL_DELTA] overflows
 TAIL_DELTA = 1e-8
 #: absolute tolerance of population_spectral_risk's quadrature
 RISK_TOL = 1e-10
 
 Floats = Union[float, np.ndarray]
+
+# t + (1 - t) log(1 - t) is the sum over m >= 2 of t^m / (m (m - 1)); these
+# are the coefficients of m = 18 down to 2, whose tail is below 1e-16 of
+# the sum for t < 1/8
+_EXP_SERIES = 1.0 / (np.arange(18, 1, -1) * np.arange(17, 0, -1))
 
 
 #: the parameters of each kind of law, in the order JSON reads them
@@ -161,14 +166,13 @@ class ReferenceDistribution:
                 z = ndtri(np.clip(t, 0.0, 1.0))
             out = mean * t - sd * np.where(np.isfinite(z), _phi(z), 0.0)
         elif self.kind == "exponential":
-            rate = self.params["rate"]
-            rem = 1.0 - t
             # (1 - t) log(1 - t) -> 0 as t -> 1
             with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.where(
-                    rem > 0.0, rem * np.log(np.maximum(rem, 1e-300)), 0.0
-                )
-            out = (term + t) / rate
+                term = np.where(t < 1.0, (1.0 - t) * np.log1p(-t), 0.0)
+            # t + term cancels to t^2 / 2 as t -> 0; below 1/8 its series
+            # keeps every digit
+            out = np.where(t < 0.125, t * t * np.polyval(_EXP_SERIES, t),
+                           t + term) / self.params["rate"]
         else:
             out = self.params["c"] * t
         return float(out) if out.ndim == 0 else out
@@ -182,31 +186,27 @@ def population_es(dist: ReferenceDistribution, alpha: float) -> float:
 
 
 def population_spectral_risk(dist: ReferenceDistribution, phi: Spectrum) -> float:
-    """Population spectral risk -integral of q * phi over (0, 1).
-
-    An expected-shortfall spectrum is population_es, in closed form at
-    every level. Otherwise quadrature runs on [delta, 1 - delta] split at
-    the spectrum's breakpoints; the truncated tails are restored with the
-    exact quantile primitive, with the spectrum frozen at its boundary
-    value there.
+    """Population spectral risk -integral of q * phi over (0, 1), through
+    the quantile primitive Q. A spectrum without a slope is constant
+    between its breakpoints, a finite ES mixture summed in closed form (an
+    ES spectrum is population_es exactly). A sloped, continuous one is
+    phi(1) Q(1) - integral of Q phi', whose integrand is bounded.
     """
     if dist.kind == "point_mass":
         return -dist.params["c"]
-    if phi.kind == "es":
-        return population_es(dist, phi.params["alpha"])
-    delta = TAIL_DELTA
-
-    def f(u: np.ndarray) -> np.ndarray:
-        return dist.quantile(u) * phi.density(u)
-
-    body = integrate_piecewise(
-        f, delta, 1.0 - delta, breakpoints=phi.breakpoints, tol=RISK_TOL
-    )
-    low = float(phi.density(delta)) * float(dist.quantile_primitive(delta))
-    top = float(phi.density(1.0 - delta)) * (
-        float(dist.quantile_primitive(1.0)) - float(dist.quantile_primitive(1.0 - delta))
-    )
-    total = low + body + top
+    if phi.slope is None:
+        cuts = np.array([0.0, *(t for t in phi.breakpoints if 0 < t < 1), 1.0])
+        masses = np.diff(phi.primitive(cuts))
+        total = float(np.sum(masses * np.diff(dist.quantile_primitive(cuts))
+                             / np.diff(cuts)))
+    else:
+        # a slope that overflows is refused as a non-finite integrand
+        with np.errstate(over="ignore", invalid="ignore"):
+            body = integrate_piecewise(
+                lambda u: dist.quantile_primitive(u) * phi.slope(u), 0.0, 1.0,
+                breakpoints=phi.breakpoints, tol=RISK_TOL,
+            )
+        total = phi.density(1.0) * float(dist.quantile_primitive(1.0)) - body
     if not math.isfinite(total):
         raise RiskError("spectral risk integral did not converge")
     return -total

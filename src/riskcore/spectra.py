@@ -27,11 +27,12 @@ class Spectrum:
     """A risk spectrum: non-increasing density phi on (0, 1], unit integral.
 
     bound is the sup-norm C; lipschitz is the Lipschitz constant L where
-    one exists (None for the expected-shortfall and step families, which
-    jump). Construction refuses, on a 10^4-point grid, a density that
-    rises, leaves [0, bound] or moves faster than lipschitz.
-    breakpoints lists interior kinks/jumps so quadrature never straddles
-    them. primitive is the exact Phi(t), the integral of phi over [0, t].
+    one exists (None for the ES and step families, which jump). primitive
+    is the exact Phi(t), the integral of phi over [0, t]. breakpoints are
+    phi's interior kinks, jumps and scales; slope is phi' between them for
+    a continuous phi, and None means phi is constant between them. A
+    density that rises, leaves [0, bound], moves faster than lipschitz, or
+    moves between breakpoints without a slope is refused when built.
     """
 
     def __init__(
@@ -43,12 +44,14 @@ class Spectrum:
         density: Callable[[np.ndarray], np.ndarray],
         primitive: Callable[[np.ndarray], np.ndarray],
         breakpoints: Sequence[float] = (),
+        slope: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ):
         self.kind = kind
         self.params = dict(params)
         self.bound = float(bound)
         self.lipschitz = None if lipschitz is None else float(lipschitz)
         self.breakpoints = tuple(breakpoints)
+        self.slope = slope
         self._density = density
         self._primitive = primitive
         self._validate()
@@ -64,6 +67,13 @@ class Spectrum:
                 np.abs(steps) > self.lipschitz * np.diff(pts) + 1e-9):
             raise RiskError(f"{self.kind} spectrum moves faster than its "
                                f"Lipschitz constant {self.lipschitz}")
+        # steps within one piece (t_j, t_j+1] between sorted breakpoints
+        inside = np.diff(np.searchsorted(self.breakpoints, pts)) == 0
+        if self.slope is None and np.any(np.abs(steps[inside]) > SHAPE_TOL):
+            raise RiskError(f"{self.kind} spectrum declares no slope "
+                            "but moves between its breakpoints")
+        if self.slope is not None and self.lipschitz is None:
+            raise RiskError(f"{self.kind} spectrum has a slope but no Lipschitz constant")
         if np.any(vals < -SHAPE_TOL) or np.any(vals > self.bound + SHAPE_TOL):
             raise RiskError(
                 f"{self.kind} spectrum leaves [0, {self.bound}] on the grid"
@@ -128,6 +138,7 @@ def linear_spectrum(slope: float) -> Spectrum:
         lipschitz=s,
         density=lambda u: 1.0 + s * (0.5 - u),
         primitive=lambda t: t + 0.5 * s * t * (1.0 - t),
+        slope=lambda u: np.full_like(u, -s),
     )
 
 
@@ -150,6 +161,9 @@ def exponential_spectrum(k: float) -> Spectrum:
         density=lambda u: k * np.exp(-k * u) / norm,
         primitive=lambda t: -np.expm1(-k * np.asarray(t, dtype=np.float64))
         / norm,
+        # phi falls by e^-c from 0 to c/k: these scales resolve its spike
+        breakpoints=[c / k for c in (1.0, 4.0, 16.0, 64.0) if c < k],
+        slope=lambda u: -k * (k * np.exp(-k * u) / norm),
     )
 
 
@@ -199,6 +213,8 @@ def piecewise_linear_spectrum(knots: Sequence[Sequence[float]]) -> Spectrum:
         density=density,
         primitive=primitive,
         breakpoints=tuple(float(x) for x in t[1:-1]),
+        # the piece (t_j, t_j+1] holds the u with j interior knots below
+        slope=lambda u: slopes[np.searchsorted(t[1:-1], u)],
     )
 
 

@@ -50,8 +50,9 @@ class TestLipschitzClass:
         cls = bundled_lipschitz_class()
         assert len(cls.members) == 5
         norm5 = 1.0 - np.exp(-5.0)
-        assert cls.class_C == pytest.approx(5.0 / norm5)
-        assert cls.class_L == pytest.approx(25.0 / norm5)
+        assert max(phi.bound for phi in cls.members) == pytest.approx(5.0 / norm5)
+        assert max(phi.lipschitz for phi in cls.members) == \
+            pytest.approx(25.0 / norm5)
 
     def test_es_member_rejected(self):
         with pytest.raises(RiskError, match=r"^es spectrum carries no "

@@ -1,17 +1,26 @@
 """Reference distributions and population risk values."""
 
+import json
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from riskcore import (
     ReferenceDistribution,
+    canonical_weights,
     distribution_from_json,
     expected_shortfall_spectrum,
+    exponential_spectrum,
     linear_spectrum,
+    piecewise_linear_spectrum,
     population_es,
     population_spectral_risk,
+    step_spectrum,
     uniform_spectrum,
 )
+from riskcore.cli import main
 from riskcore.errors import RiskError
 from riskcore.population import LAW_PARAMS, distribution_to_json
 from riskcore.quadrature import adaptive_simpson
@@ -46,6 +55,18 @@ class TestAccessors:
         fd = (np.asarray(dist.quantile_primitive(u + h))
               - np.asarray(dist.quantile_primitive(u - h))) / (2 * h)
         assert np.max(np.abs(fd - np.asarray(dist.quantile(u)))) < 1e-8
+
+    def test_exponential_quantile_primitive_keeps_its_digits(self):
+        # t + (1 - t) log(1 - t) cancels to t^2 / 2 at small t, where the
+        # steep spectra weigh it; the reference holds 700 digits
+        mp = pytest.importorskip("mpmath")
+        t = np.concatenate([np.logspace(-150, -1, 40), np.linspace(0.1, 0.2, 11),
+                            [0.5, 0.9, 1.0 - 1e-9]])
+        with mp.workdps(700):
+            ref = np.array([float(x + (1 - x) * mp.log1p(-x))
+                            for x in map(mp.mpf, t)])
+        rate = ReferenceDistribution("exponential", rate=4.0)
+        assert rate.quantile_primitive(t) == pytest.approx(ref / 4.0, rel=5e-15, abs=0)
 
     @pytest.mark.parametrize("name", ALL_KINDS + ["point_mass3"])
     @pytest.mark.parametrize("nan", [np.nan, np.array([0.5, np.nan])],
@@ -184,11 +205,110 @@ class TestPopulationSpectralRisk:
         value = population_spectral_risk(uniform01, linear_spectrum(2.0))
         assert value == pytest.approx(-1 / 3, abs=1e-9)
 
+    @pytest.mark.parametrize("law, mean", [
+        ({"type": "uniform", "a": 0.0, "b": 1.0}, 0.5),
+        ({"type": "uniform", "a": -1.0, "b": 3.0}, 1.0),
+        ({"type": "normal", "mean": 0.0, "sd": 1.0}, 0.0),
+        ({"type": "normal", "mean": 1.75, "sd": 2.0}, 1.75),
+        ({"type": "exponential", "rate": 1.0}, 1.0),
+        ({"type": "exponential", "rate": 4.0}, 0.25),
+    ])
+    def test_uniform_spectrum_is_negated_mean_exactly(self, law, mean):
+        dist = distribution_from_json(law)
+        assert population_spectral_risk(dist, uniform_spectrum()) == -mean
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("name", ALL_KINDS)
+    def test_step_spectrum_is_its_es_mixture(self, dists, name, n):
+        # the value n a_i on ((i-1)/n, i/n] weighs the quantile's mean there
+        dist, a = dists[name], canonical_weights(linear_spectrum(2.0), n)
+        Q = dist.quantile_primitive(np.arange(n + 1) / n)
+        expected = -float(np.sum(a.weights * n * np.diff(Q)))
+        assert population_spectral_risk(dist, step_spectrum(a)) == \
+            pytest.approx(expected, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("k", [1.0, 5.0, 700.0, 7000.0, 1e5, 1e6])
+    @pytest.mark.parametrize("name", ALL_KINDS)
+    def test_exponential_spectrum(self, dists, name, k):
+        # at large k the mass lies within a few 1/k of 0, where quadrature
+        # that does not know the scale misses it
+        value = population_spectral_risk(dists[name], exponential_spectrum(k))
+        assert value == pytest.approx(exponential_reference(name, k), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    def test_linear_spectrum_closed_forms(self, dists, s):
+        # -mean - s * integral of q (1/2 - u), and E[X F(X)] in closed form
+        expected = {"uniform01": -0.5 + s / 12.0,
+                    "std_normal": s / (2.0 * math.sqrt(math.pi)),
+                    "exponential1": -1.0 + s / 4.0}
+        for name, value in expected.items():
+            assert population_spectral_risk(dists[name], linear_spectrum(s)) \
+                == pytest.approx(value, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("name", ALL_KINDS)
+    def test_piecewise_linear_spectrum(self, dists, name):
+        knots = np.array([[0.0, 1.4], [0.25, 1.1], [0.5, 1.0], [1.0, 0.7]])
+        t, v = knots.T
+        v = v / np.trapezoid(v, t)
+        expected = quad_risk(name, lambda u: np.interp(u, t, v), t)
+        assert population_spectral_risk(
+            dists[name], piecewise_linear_spectrum(knots.tolist())
+        ) == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("name", ALL_KINDS)
+    def test_overflowing_exponential_spectrum_is_refused(self, dists, name):
+        # phi' = -k phi overflows: an error, never a number
+        with pytest.raises(RiskError):
+            population_spectral_risk(dists[name], exponential_spectrum(1e200))
+
+    def test_clt_reports_the_steep_population_risk(self, capsys):
+        config = {"spectrum": {"type": "exponential", "k": 7000},
+                  "dist": {"type": "normal", "mean": 0, "sd": 1},
+                  "n": 200, "reps": 20}
+        main(["clt", "--config", json.dumps(config), "--seed", "3"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["population_risk"] == pytest.approx(
+            exponential_reference("std_normal", 7000.0), rel=1e-13, abs=0)
+
     def test_point_mass(self, point_mass3):
         assert population_spectral_risk(point_mass3, uniform_spectrum()) == -3.0
         assert population_spectral_risk(
             point_mass3, expected_shortfall_spectrum(0.1)
         ) == -3.0
+
+
+def quad_risk(name, density, edges):
+    """-integral of q * phi by QUADPACK, piece by piece between edges."""
+    from scipy.integrate import quad
+    from scipy.special import ndtri
+
+    q = {"uniform01": lambda u: u, "std_normal": ndtri,
+         "exponential1": lambda u: -math.log1p(-u)}[name]
+    with warnings.catch_warnings():
+        # QUADPACK warns when rounding stops it short of 2e-14 relative
+        warnings.simplefilter("ignore")
+        return -sum(
+            quad(lambda u: q(u) * density(u), lo, hi, epsabs=0.0,
+                 epsrel=2e-14, limit=200)[0]
+            for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def exponential_reference(name, k):
+    """-integral of q * phi for phi(u) = k exp(-k u) / (1 - exp(-k)), from
+    outside riskcore: a closed form on U(0, 1), the exponential integral
+    Ei on Exp(1) (with mpmath), and QUADPACK cut at c/k on N(0, 1)."""
+    norm = -math.expm1(-k)
+    if name == "uniform01":
+        return -(1.0 - (1.0 + k) * math.exp(-k)) / (k * norm)
+    if name == "exponential1":
+        # integral of -log(1 - u) e^(-k u) = e^(-k) (Ei(k) - gamma - ln k) / k
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            kk = mp.mpf(k)
+            ein = mp.ei(kk) - mp.euler - mp.log(kk)
+            return float(-mp.exp(-kk) * ein / -mp.expm1(-kk))
+    edges = [0.0, *(c / k for c in (1, 4, 16, 64, 256) if c < k), 1.0]
+    return quad_risk(name, lambda u: k * math.exp(-k * u) / norm, edges)
 
 
 class TestJson:

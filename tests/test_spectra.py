@@ -369,6 +369,7 @@ class TestValidation:
                 kind="custom", params={}, bound=2.0, lipschitz=lipschitz,
                 density=lambda u: 2.0 * (1.0 - u),
                 primitive=lambda t: t * (2.0 - t),
+                slope=lambda u: np.full_like(u, -2.0),
             )
 
         with pytest.raises(RiskError, match="faster than its Lipschitz"):
@@ -393,6 +394,56 @@ class TestValidation:
         with pytest.raises(RiskError, match=r"^linear spectrum needs slope "
                            r"in \[0, 2\], got 2.5$"):
             linear_spectrum(2.5)
+
+    def test_slope_free_spectrum_must_be_flat_between_breakpoints(self):
+        # without a slope, population risk reads phi as constant on each
+        # piece; a density that moves there would be read as flat
+        def build(breakpoints):
+            return Spectrum(
+                kind="custom", params={}, bound=1.5, lipschitz=None,
+                density=lambda u: np.where(u <= 0.5, 1.5, 0.625 - 0.5 * (u - 0.5)),
+                primitive=lambda t: np.where(
+                    t <= 0.5, 1.5 * t, 0.75 + 0.625 * (t - 0.5)
+                    - 0.25 * (t - 0.5) ** 2),
+                breakpoints=breakpoints,
+            )
+
+        with pytest.raises(RiskError, match=r"^custom spectrum declares no "
+                           r"slope but moves between its breakpoints$"):
+            build((0.5,))
+        with pytest.raises(RiskError, match="moves between its breakpoints"):
+            build(())
+
+    def test_sloped_spectrum_must_be_continuous(self):
+        with pytest.raises(RiskError, match=r"^custom spectrum has a slope "
+                           r"but no Lipschitz constant$"):
+            Spectrum(
+                kind="custom", params={}, bound=1.0, lipschitz=None,
+                density=lambda u: np.ones_like(u),
+                primitive=lambda t: np.asarray(t, dtype=np.float64),
+                slope=lambda u: np.zeros_like(u),
+            )
+
+    @pytest.mark.parametrize("phi", [
+        linear_spectrum(1.5),
+        exponential_spectrum(5.0),
+        exponential_spectrum(700.0),
+        piecewise_linear_spectrum([[0, 1.4], [0.25, 1.1], [0.5, 1.0],
+                                   [1, 0.7]]),
+    ], ids=["linear", "exp5", "exp700", "piecewise"])
+    def test_slope_is_the_density_derivative(self, phi):
+        # central differences inside each piece between the breakpoints
+        edges = np.array([0.0, *phi.breakpoints, 1.0])
+        u = (edges[:-1, None] + np.diff(edges)[:, None]
+             * np.linspace(0.1, 0.9, 9)).ravel()
+        h = 1e-6 * np.diff(edges).min()
+        numeric = (phi.density(u + h) - phi.density(u - h)) / (2 * h)
+        assert phi.slope(u) == pytest.approx(numeric, rel=1e-6, abs=1e-6)
+
+    def test_exponential_breakpoints_are_its_scales(self):
+        assert exponential_spectrum(1.0).breakpoints == ()
+        assert exponential_spectrum(5.0).breakpoints == (0.2, 0.8)
+        assert exponential_spectrum(1e3).breakpoints == (1e-3, 4e-3, 16e-3, 64e-3)
 
 
 class TestJson:
