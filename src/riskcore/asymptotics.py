@@ -121,7 +121,7 @@ def _spectrum_on_levels(
         raise RiskError("influence analysis needs a distribution with a density")
 
     def phi_u(u: np.ndarray) -> np.ndarray:
-        return phi.density(np.clip(u, 1e-300, 1.0))
+        return phi.density(np.minimum(np.maximum(u, 1e-300), 1.0))
 
     return phi_u
 
@@ -129,9 +129,7 @@ def _spectrum_on_levels(
 def _quantile_cuts(
     phi: Spectrum, dist: ReferenceDistribution, lo: float, hi: float
 ) -> Tuple[float, ...]:
-    return tuple(
-        float(dist.quantile(b)) for b in phi.breakpoints if lo < b < hi
-    )
+    return tuple(dist.quantile([b for b in phi.breakpoints if lo < b < hi]).tolist())
 
 
 def influence_function(

@@ -623,6 +623,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered to devnull,
         # so the interpreter's last flush does not fail as well

@@ -106,13 +106,16 @@ class ReferenceDistribution:
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "uniform":
             a, b = self.params["a"], self.params["b"]
-            out = np.clip((x - a) / (b - a), 0.0, 1.0)
+            # maximum keeps its second argument on a tie, so -0.0 stays
+            # -0.0 as it does under np.clip
+            out = np.minimum(np.maximum(0.0, (x - a) / (b - a)), 1.0)
         elif self.kind == "normal":
             from scipy.special import ndtr
 
             out = ndtr((x - self.params["mean"]) / self.params["sd"])
         elif self.kind == "exponential":
-            out = np.where(x < 0.0, 0.0, -np.expm1(-self.params["rate"] * np.maximum(x, 0.0)))
+            # below 0 the clamp gives -expm1(-0.0) = 0.0
+            out = -np.expm1(-self.params["rate"] * np.maximum(x, 0.0))
         else:
             out = np.where(x >= self.params["c"], 1.0, 0.0)
         return float(out) if out.ndim == 0 else out

@@ -137,8 +137,10 @@ def _gauss_kronrod(
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    fx = np.broadcast_to(np.asarray(f(x), dtype=np.float64), x.shape)
-    if not np.all(np.isfinite(fx)):
+    fx = f(x)
+    if type(fx) is not np.ndarray or fx.shape != x.shape or fx.dtype != np.float64:
+        fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), x.shape)
+    if not np.isfinite(fx).all():
         raise RiskError(
             f"non-finite integrand on [{float(lo.min())}, {float(hi.max())}]"
         )
@@ -146,7 +148,7 @@ def _gauss_kronrod(
     # where the row sits in the batch, and a panel's must not
     k15 = half * np.vecdot(fx, _KRONROD)
     g7 = half * np.vecdot(fx, _GAUSS)
-    if not (np.all(np.isfinite(k15)) and np.all(np.isfinite(g7))):
+    if not (np.isfinite(k15).all() and np.isfinite(g7).all()):
         raise RiskError(
             f"integral overflows on [{float(lo.min())}, {float(hi.max())}]"
         )
@@ -179,31 +181,29 @@ def _panels(
     cuts = np.array(sorted({a, b, *(t for t in breakpoints if a < t < b)}))
     lo, hi = cuts[:-1], cuts[1:]
     # rows: lo, hi, K15, |K15 - G7|, K15 of |f|; one column per panel
-    panels, done, evals = np.empty((5, 0)), [], 0
+    panels, done, evals = None, [], 0
     while True:
         share = tol / (b - a)
-        while lo.size or panels.size:
-            if lo.size:
+        while True:
+            if panels is None:
                 evals += _POINTS * lo.size
                 if evals > max_evals:
                     raise RiskError(
                         f"evaluation budget {max_evals} exhausted on [{a}, {b}]"
                     )
-                panels = np.stack([lo, hi, *_gauss_kronrod(f, lo, hi)])
+                panels = np.array([lo, hi, *_gauss_kronrod(f, lo, hi)])
             lo, hi, _, err, scale = panels
             mid = 0.5 * (lo + hi)
-            ok = (
-                (err <= share * (hi - lo))
-                | (err <= _ROUNDOFF * scale)
-                | (mid <= lo) | (mid >= hi)
-            )
-            done.append(panels[:, ok])
+            ok = (err <= share * (hi - lo)) | (err <= _ROUNDOFF * scale)
+            ok |= (mid <= lo) | (mid >= hi)
+            if ok.all():
+                done.append(panels)
+                break
             # every judged panel is kept or bisected; the halves come next
-            split, panels = ~ok, panels[:, :0]
-            lo, hi = (
-                np.concatenate([lo[split], mid[split]]),
-                np.concatenate([mid[split], hi[split]]),
-            )
+            done.append(panels[:, ok])
+            split, panels = ~ok, None
+            lo, mid, hi = lo[split], mid[split], hi[split]
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         done = np.concatenate(done, axis=1)
         done = done[:, np.argsort(done[0], kind="stable")]
         if refine is None:

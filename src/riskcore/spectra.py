@@ -17,6 +17,10 @@ from .errors import RiskError
 #: grid resolution used to validate (S1)-(S3) and the declared Lipschitz
 #: constant at construction
 VALIDATION_GRID = 10_000
+# the grid k / VALIDATION_GRID, k = 1..VALIDATION_GRID, built once; read-only,
+# since a density may be handed it as it is
+_GRID = np.arange(1, VALIDATION_GRID + 1) / VALIDATION_GRID
+_GRID.flags.writeable = False
 #: tolerance for the non-increasing and unit-mass checks
 SHAPE_TOL = 1e-12
 
@@ -32,7 +36,8 @@ class Spectrum:
     phi's interior kinks, jumps and scales; slope is phi' between them for
     a continuous phi, and None means phi is constant between them. A
     density that rises, leaves [0, bound], moves faster than lipschitz, or
-    moves between breakpoints without a slope is refused when built.
+    moves between breakpoints without a slope is refused when built, as is
+    a bound or lipschitz that is not finite (exponential k above ~1.34e154).
     """
 
     def __init__(
@@ -57,24 +62,31 @@ class Spectrum:
         self._validate()
 
     def _validate(self) -> None:
-        grid = np.arange(1, VALIDATION_GRID + 1) / VALIDATION_GRID
-        pts = np.union1d(grid, [t for t in self.breakpoints if 0 < t <= 1])
+        if not all(map(math.isfinite, (self.bound, self.lipschitz or 0.0))):
+            raise RiskError(f"{self.kind} spectrum needs a finite bound and Lipschitz "
+                            f"constant, got {self.bound} and {self.lipschitz}")
+        # the grid with the breakpoints in (0, 1] it lacks inserted in order
+        cuts = np.unique([t for t in self.breakpoints if 0 < t <= 1])
+        at = np.searchsorted(_GRID, cuts)
+        off = _GRID[at] != cuts
+        pts = np.insert(_GRID, at[off], cuts[off]) if off.any() else _GRID
         vals = self._density(pts)
         steps = np.diff(vals)
-        if np.any(steps > SHAPE_TOL):
+        if (steps > SHAPE_TOL).any():
             raise RiskError(f"{self.kind} spectrum is not non-increasing")
-        if self.lipschitz is not None and np.any(
-                np.abs(steps) > self.lipschitz * np.diff(pts) + 1e-9):
+        if self.lipschitz is not None and (
+                np.abs(steps) > self.lipschitz * np.diff(pts) + 1e-9).any():
             raise RiskError(f"{self.kind} spectrum moves faster than its "
                                f"Lipschitz constant {self.lipschitz}")
         # steps within one piece (t_j, t_j+1] between sorted breakpoints
-        inside = np.diff(np.searchsorted(self.breakpoints, pts)) == 0
-        if self.slope is None and np.any(np.abs(steps[inside]) > SHAPE_TOL):
-            raise RiskError(f"{self.kind} spectrum declares no slope "
-                            "but moves between its breakpoints")
-        if self.slope is not None and self.lipschitz is None:
+        if self.slope is None:
+            inside = np.diff(np.searchsorted(self.breakpoints, pts)) == 0
+            if (np.abs(steps[inside]) > SHAPE_TOL).any():
+                raise RiskError(f"{self.kind} spectrum declares no slope "
+                                "but moves between its breakpoints")
+        elif self.lipschitz is None:
             raise RiskError(f"{self.kind} spectrum has a slope but no Lipschitz constant")
-        if np.any(vals < -SHAPE_TOL) or np.any(vals > self.bound + SHAPE_TOL):
+        if (vals < -SHAPE_TOL).any() or (vals > self.bound + SHAPE_TOL).any():
             raise RiskError(
                 f"{self.kind} spectrum leaves [0, {self.bound}] on the grid"
             )
@@ -85,18 +97,18 @@ class Spectrum:
     def density(self, u: Floats) -> Floats:
         """Evaluate phi on (0, 1]."""
         arr = np.asarray(u, dtype=np.float64)
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
+        if (arr <= 0.0).any() or (arr > 1.0).any():
             raise RiskError(f"spectrum evaluated outside (0, 1]: {u}")
         out = self._density(arr)
-        return float(out) if np.isscalar(u) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def primitive(self, t: Floats) -> Floats:
         """Evaluate Phi(t) = integral of phi over [0, t] for t in [0, 1]."""
         arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if (arr < 0.0).any() or (arr > 1.0).any():
             raise RiskError(f"primitive evaluated outside [0, 1]: {t}")
         out = self._primitive(arr)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
 
 def expected_shortfall_spectrum(alpha: float) -> Spectrum:

@@ -840,6 +840,33 @@ class TestErrorPaths:
         assert "quantile range that overflows" in err
 
 
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, three_file):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "read_sample", exhausted)
+        code, out, err = run_cli(capsys, "es", "--sample", three_file, "--k", "1")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
+    STEEP = '{"type":"exponential","k":1e200}'
+    UNIT = '{"type":"uniform","a":0,"b":1}'
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--spectrum", STEEP, "--n", "3"],
+        ["variance", "--spectrum", STEEP, "--dist", UNIT],
+        ["clt", "--seed", "1", "--config",
+         '{"spectrum":%s,"dist":%s,"n":20,"reps":5}' % (STEEP, UNIT)],
+        ["consistency", "--seed", "1", "--config",
+         '{"class":[%s],"dist":%s,"n_grid":[100],"reps":2}' % (STEEP, UNIT)],
+    ], ids=["weights", "variance", "clt", "consistency"])
+    def test_a_spectrum_too_steep_for_float64_is_one_line(self, capsys, argv):
+        # k * k overflows: variance printed 0.0 and weights [1.0, 0.0, 0.0]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: exponential spectrum needs a finite bound and "
+                       "Lipschitz constant, got 1e+200 and inf\n")
+
+
 NORMAL = '{"type":"normal","mean":0,"sd":1}'
 
 

@@ -290,6 +290,55 @@ class TestRunningIntegral:
         assert np.max(np.abs(primitive(t) - exact)) <= 1e-12
 
 
+def _peak(x):
+    return 1.0 / (1.0 + 400.0 * x * x)
+
+
+def _sqrt_kink(x):
+    return np.sqrt(np.abs(x - 0.3)) * np.exp(-x)
+
+
+def _damped(x):
+    return np.cos(3.0 * x) * np.exp(-x)
+
+
+class TestPinnedBits:
+    """Values pinned to the last bit: the kernel may get faster, but every
+    partition, rule sum and running value must stay what it was."""
+
+    def test_integrate_piecewise(self):
+        assert integrate_piecewise(_peak, -1.0, 1.0, tol=1e-12).hex() == \
+            "0x1.3777b52d2e01ap-3"
+        assert integrate_piecewise(
+            _sqrt_kink, -1.0, 2.0, breakpoints=(0.3,), tol=1e-11
+        ).hex() == "0x1.0ffd3708e0298p+1"
+        # a scalar integrand is broadcast over the nodes
+        assert integrate_piecewise(
+            lambda x: 2.5, 0.0, 3.0, breakpoints=(1.0,)
+        ).hex() == "0x1.e000000000002p+2"
+
+    def test_integrate_piecewise_with_refine(self):
+        assert integrate_piecewise(
+            _damped, 0.0, 4.0, tol=1e-6, refine=lambda v: 1e-9 * abs(v)
+        ).hex() == "0x1.87316e2ac1c48p-4"
+        assert integrate_piecewise(
+            _peak, 1.0, -1.0, tol=1e-5, refine=lambda v: 1e-10 * abs(v)
+        ).hex() == "-0x1.3777b52d2e019p-3"
+
+    def test_running_integral(self):
+        t = np.array([-1.0, -0.7, 0.0, 0.3, 0.31, 1.2, 2.0])
+        got = running_integral(_sqrt_kink, -1.0, 2.0, (0.3,), 1e-11)(t)
+        assert [float(v).hex() for v in got] == [
+            "0x0.0p+0", "0x1.83d029d0565a3p-1", "0x1.971675d1aac65p+0",
+            "0x1.b009409656443p+0", "0x1.b0296cf5dde6fp+0",
+            "0x1.f0c1460c06e2ep+0", "0x1.0ffd3708e0299p+1"]
+        got = running_integral(lambda x: 0.75, -1.0, 2.0, (), 1e-10)(t)
+        assert [float(v).hex() for v in got] == [
+            "0x0.0p+0", "0x1.ccccccccccccep-3", "0x1.8000000000000p-1",
+            "0x1.f333333333334p-1", "0x1.f70a3d70a3d71p-1",
+            "0x1.a666666666667p+0", "0x1.2000000000000p+1"]
+
+
 class TestAdaptiveSimpson:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(RiskError, match=r"^evaluation budget 9 exhausted "

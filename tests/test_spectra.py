@@ -20,7 +20,7 @@ from riskcore import (
 )
 from riskcore.errors import RiskError
 from riskcore.core import WeightVector, ceil_level
-from riskcore.spectra import spectrum_to_json
+from riskcore.spectra import VALIDATION_GRID, spectrum_to_json
 from conftest import draw_monotone_simplex, rational_level
 
 
@@ -440,6 +440,25 @@ class TestValidation:
         numeric = (phi.density(u + h) - phi.density(u - h)) / (2 * h)
         assert phi.slope(u) == pytest.approx(numeric, rel=1e-6, abs=1e-6)
 
+    @pytest.mark.parametrize("k", [1.35e154, 1e200, 1e300])
+    def test_exponential_too_steep_for_a_finite_lipschitz_constant(self, k):
+        # k * k overflows above ~1.34e154; such a spectrum was built with
+        # an infinite Lipschitz constant and its sigma^2 read 0.0
+        with pytest.raises(RiskError, match=r"^exponential spectrum needs a "
+                           r"finite bound and Lipschitz constant, got .* and inf$"):
+            exponential_spectrum(k)
+        assert np.isfinite(exponential_spectrum(1e150).lipschitz)
+
+    @pytest.mark.parametrize("bound, lipschitz", [
+        (np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)])
+    def test_non_finite_bound_or_lipschitz_constant_is_refused(self, bound,
+                                                                lipschitz):
+        with pytest.raises(RiskError, match=r"^custom spectrum needs a finite "
+                           r"bound and Lipschitz constant"):
+            Spectrum(kind="custom", params={}, bound=bound, lipschitz=lipschitz,
+                     density=lambda u: np.ones_like(u),
+                     primitive=lambda t: np.asarray(t, dtype=np.float64))
+
     def test_exponential_breakpoints_are_its_scales(self):
         assert exponential_spectrum(1.0).breakpoints == ()
         assert exponential_spectrum(5.0).breakpoints == (0.2, 0.8)
@@ -472,3 +491,37 @@ class TestJson:
         with pytest.raises(RiskError, match=r"^spectrum JSON is missing "
                            r"required field 'alpha'$"):
             spectrum_from_json({"type": "es"})
+
+
+def _validation_points(phi):
+    """The points phi's density is checked on when a copy of it is built."""
+    seen = []
+
+    def density(u):
+        seen.append(np.array(u))
+        return phi.density(u)
+
+    Spectrum(phi.kind, phi.params, phi.bound, phi.lipschitz, density,
+             phi.primitive, phi.breakpoints, phi.slope)
+    return seen[0]
+
+
+class TestValidationPoints:
+    @pytest.mark.parametrize("phi", [
+        expected_shortfall_spectrum(0.05),  # 0.05 is the grid point 500/10^4
+        piecewise_linear_spectrum([[0, 1.5], [1 / 3, 1.5], [2 / 3, 0.5],
+                                   [1, 0.5]]),
+        exponential_spectrum(7.0),
+        exponential_spectrum(1e3),
+        step_spectrum(canonical_weights(linear_spectrum(1.0), 37)),
+        step_spectrum(canonical_weights(linear_spectrum(1.0), 40)),
+        uniform_spectrum(),
+        linear_spectrum(2.0),
+    ], ids=["es-on-grid", "piecewise-off-grid", "exp7", "exp1000", "step37",
+            "step40-on-grid", "uniform-none", "linear-none"])
+    def test_are_the_grid_united_with_the_breakpoints(self, phi):
+        grid = np.arange(1, VALIDATION_GRID + 1) / VALIDATION_GRID
+        expected = np.union1d(grid, [t for t in phi.breakpoints if 0 < t <= 1])
+        pts = _validation_points(phi)
+        assert pts.dtype == np.float64
+        assert pts.tobytes() == expected.tobytes()
