@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -84,25 +84,57 @@ class RngSpec:
 
 
 def indexed_map(
-    fn: Callable[[int], np.ndarray], count: int, weights: np.ndarray
+    fn: Callable[[int], np.ndarray], count: int, weights: np.ndarray,
+    step: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
 ) -> np.ndarray:
-    """The replicate kernel: fn(i) draws replicate i's sample from its own
-    stream, called once per replicate in index order. The samples of a
-    block of replicates are stacked, sorted along rows and negated in
-    place; the plug-in weights then act on each row with a dot product of
-    its own, as a blocked matrix product would not give the same bits.
-    A replicate's sample never depends on its block, so neither does any
-    result. Row i of the result is replicate i's estimate (a scalar for
-    1-D weights, one per weight row for an (m, n) array)."""
+    """The replicate kernel: fn(i) draws replicate i from its own stream,
+    called once per replicate in index order. A block of draws is stacked,
+    made samples by step(block, its first replicate) if given, sorted along
+    rows and negated in place; the plug-in weights then act on each row
+    with a dot product of its own, as a blocked matrix product would not
+    give the same bits. A replicate's sample never depends on its block, so
+    neither does any result. Row i of the result is replicate i's estimate
+    (a scalar for 1-D weights, one per weight row for an (m, n) array).
+    The bootstrap's fn(b) draws stream b + 1's raw words, and its step
+    gathers at Lemire draws on them, low half first on every byte order,
+    which are Generator.integers(0, n, size=n) at numpy 2.4."""
     per = max(1, BLOCK_FLOATS // weights.shape[-1])
     estimates = []
     for first in range(0, count, per):
         block = np.array(
             [fn(i) for i in range(first, min(first + per, count))])
+        if step is not None:
+            block = step(block, first)
         block.sort(axis=1)
         np.negative(block, out=block)
         estimates.extend(weights @ row for row in block)
     return np.array(estimates)
+
+
+def _lemire_indices(raw: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(m, n) Lemire indices from (m, w) raw Philox words, and short rows."""
+    # Lemire (2019): the candidates are the words' 32-bit halves, low half
+    # first; c gives (c n) >> 32 unless the low word of c n, which uint32
+    # products wrap to, is below (2^32 - n) mod n. A row's indices are its
+    # first n accepted: Generator.integers(0, n, size=n) on a new Philox.
+    # A row with fewer than n accepted is short, and its indices are void
+    words = raw.astype("<u8", copy=False).view("<u4")
+    m, k = words.shape
+    rows, cols = np.divmod(np.flatnonzero(words * np.uint32(n) < (2**32 - n) % n), k)
+    # a rejection is passed over when fewer than n candidates before it
+    # were accepted, and each one passed over moves its row's end one on
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    short = np.bincount(rows, minlength=m) > k - n
+    used = (cols - rank < n) & ~short[rows]
+    if used.any():
+        keep = np.tile(np.repeat([True, False], [n, k - n]), (m, 1))
+        keep[rows[used], n + rank[used]] = True
+        keep[rows[used], cols[used]] = False
+        # a 1-D boolean index costs a fraction of a 2-D one
+        words = words.ravel()[keep.ravel()].reshape(m, n)
+    picks = words[:, :n] * np.uint64(n)
+    # every index is below 2^31, and an int64 index gathers faster
+    return np.right_shift(picks, 32, out=picks).view(np.int64), np.flatnonzero(short)
 
 
 def _spectrum_on_levels(
@@ -213,22 +245,34 @@ def bootstrap_distribution(
 ) -> np.ndarray:
     """B values of sqrt(n) * (rho_hat(X*) - rho_hat(X)).
 
-    Replicate b draws its indices from stream b + 1 of the given seed;
-    the data-drawing caller conventionally keeps stream 0 for itself.
+    Replicate b resamples x at the Lemire draws on stream b + 1's raw
+    words, low half first on every byte order (_lemire_indices): these are
+    Generator.integers(0, n, size=n) on the stream at numpy 2.4. The
+    data-drawing caller conventionally keeps stream 0 for itself.
     """
     if B < 1:
         raise RiskError(f"B must be >= 1, got {B}")
     weights = canonical_weights(phi, x.n).weights
-    values = x.values
+    values, n = x.values, x.n
     base = float(np.dot(weights, -np.sort(values)))
-    root_n = math.sqrt(x.n)
     stream = rng.streams()
+    # the candidates it takes to accept n are negative binomial, with
+    # acceptance chance q: draw words for their mean plus 6 sigma, and
+    # twice as many again for a replicate they fall short for
+    q = 1.0 - ((2**32 - n) % n) / 2**32
+    words = (math.ceil(n / q + 6.0 * math.sqrt(n * (1.0 - q)) / q) + 1) // 2
 
-    def draw(i: int) -> np.ndarray:
-        gen = stream(i + 1)
-        return values[gen.integers(0, values.size, size=values.size)]
+    def draw(i: int, size: int = words) -> np.ndarray:
+        return stream(i + 1).bit_generator.random_raw(size)
 
-    return root_n * (indexed_map(draw, B, weights) - base)
+    def resample(raw: np.ndarray, first: int) -> np.ndarray:
+        idx, short = _lemire_indices(raw, n)
+        out = values[idx]
+        for r in short.tolist():  # twice the words, from the same stream
+            out[r] = resample(draw(first + r, 2 * raw.shape[1])[None], first + r)[0]
+        return out
+
+    return math.sqrt(n) * (indexed_map(draw, B, weights, resample) - base)
 
 
 def kolmogorov_distance(sample: Sample, dist: ReferenceDistribution) -> float:

@@ -78,10 +78,12 @@ class Spectrum:
                 np.abs(steps) > self.lipschitz * np.diff(pts) + 1e-9).any():
             raise RiskError(f"{self.kind} spectrum moves faster than its "
                                f"Lipschitz constant {self.lipschitz}")
-        # steps within one piece (t_j, t_j+1] between sorted breakpoints
+        # pts holds every breakpoint in (0, 1], so a step stays within one
+        # piece exactly when its left point is not a breakpoint
         if self.slope is None:
-            inside = np.diff(np.searchsorted(self.breakpoints, pts)) == 0
-            if (np.abs(steps[inside]) > SHAPE_TOL).any():
+            inside = np.ones(pts.size, dtype=bool)
+            inside[np.searchsorted(pts, cuts)] = False
+            if (np.abs(steps[inside[:-1]]) > SHAPE_TOL).any():
                 raise RiskError(f"{self.kind} spectrum declares no slope "
                                 "but moves between its breakpoints")
         elif self.lipschitz is None:
@@ -97,7 +99,8 @@ class Spectrum:
     def density(self, u: Floats) -> Floats:
         """Evaluate phi on (0, 1]."""
         arr = np.asarray(u, dtype=np.float64)
-        if (arr <= 0.0).any() or (arr > 1.0).any():
+        # NaN lies in no interval, so the guard asks all to lie inside
+        if not ((arr > 0.0) & (arr <= 1.0)).all():
             raise RiskError(f"spectrum evaluated outside (0, 1]: {u}")
         out = self._density(arr)
         return float(out) if arr.ndim == 0 else out
@@ -105,7 +108,7 @@ class Spectrum:
     def primitive(self, t: Floats) -> Floats:
         """Evaluate Phi(t) = integral of phi over [0, t] for t in [0, 1]."""
         arr = np.asarray(t, dtype=np.float64)
-        if (arr < 0.0).any() or (arr > 1.0).any():
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise RiskError(f"primitive evaluated outside [0, 1]: {t}")
         out = self._primitive(arr)
         return float(out) if arr.ndim == 0 else out

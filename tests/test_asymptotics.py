@@ -23,7 +23,8 @@ from riskcore import (
     uniform_spectrum,
     wasserstein1,
 )
-from riskcore.asymptotics import BLOCK_FLOATS, indexed_map
+from riskcore import asymptotics
+from riskcore.asymptotics import BLOCK_FLOATS, _lemire_indices, indexed_map
 from riskcore.errors import RiskError
 from riskcore.harness import bundled_lipschitz_class, sample_from
 from riskcore.quadrature import adaptive_simpson
@@ -106,12 +107,16 @@ class TestIndexedMap:
     }
 
     @staticmethod
-    def assert_matches_the_replicate_loop(fn, weights):
+    def assert_matches_the_replicate_loop(fn, weights, step=None):
+        # with a step, fn(i) draws replicate i and step(block, first) makes
+        # its sample; the loop hands step one row at a time
+        sample = fn if step is None else lambda i: step(fn(i)[None], i)[0]
         per = max(1, BLOCK_FLOATS // weights.shape[-1])
         for count in sorted({1, per - 1, per, per + 1, 2 * per + 1} - {0}):
-            expected = np.array([weights @ -np.sort(fn(i))
+            expected = np.array([weights @ -np.sort(sample(i))
                                  for i in range(count)])
-            assert np.array_equal(indexed_map(fn, count, weights), expected)
+            assert np.array_equal(indexed_map(fn, count, weights, step),
+                                  expected)
 
     @pytest.mark.parametrize("rows", [1, 5])
     @pytest.mark.parametrize("n", [37, 100, 1000, BLOCK_FLOATS + 1])
@@ -127,11 +132,18 @@ class TestIndexedMap:
 
     @pytest.mark.parametrize("n", [7, 250, BLOCK_FLOATS + 1])
     def test_bootstrap_gather(self, n):
+        # raw words per replicate, Lemire indices and gather per block
         stream = RngSpec(12).streams()
         x = np.random.default_rng(n).standard_normal(n)
+
+        def gather(raw, first):
+            idx, short = _lemire_indices(raw, n)
+            assert short.size == 0
+            return x[idx]
+
         self.assert_matches_the_replicate_loop(
-            lambda i: x[stream(i + 1).integers(0, n, size=n)],
-            canonical_weights(linear_spectrum(2.0), n).weights)
+            lambda i: stream(i + 1).bit_generator.random_raw(n // 2 + 8),
+            canonical_weights(linear_spectrum(2.0), n).weights, gather)
 
     def test_draws_once_per_replicate_in_index_order(self):
         # stream order and the benchmark's replicate and draw counters rest
@@ -158,6 +170,62 @@ class TestIndexedMap:
         assert runs == ("f" * 54 + "d" * 54) * 2 + "f" * 7 + "d" * 7
         assert np.array_equal(out, -(np.arange(count) + 0.5))
 
+        # a step runs once per block, after the block's draws and before
+        # its dots, on those draws stacked, and is told the first replicate
+        events.clear()
+
+        def step(block, first):
+            events.append(("step", first, block[:, 0].tolist()))
+            return block * 2.0
+
+        out = indexed_map(fn, count, FirstValue(), step)
+        assert [e for e in events if isinstance(e, int)] == list(range(count))
+        steps = [e for e in events if isinstance(e, tuple)]
+        assert steps == [("step", first, [i + 0.5 for i in range(first, stop)])
+                         for first, stop in ((0, 54), (54, 108), (108, count))]
+        runs = "".join("d" if e == "dot" else "f" if isinstance(e, int) else "s"
+                       for e in events)
+        assert runs == ("f" * 54 + "s" + "d" * 54) * 2 + "f" * 7 + "s" + "d" * 7
+        assert np.array_equal(out, -2.0 * (np.arange(count) + 0.5))
+
+
+class TestLemireIndices:
+    """The per-block index step against numpy's own bounded draw: if a
+    numpy release changes Generator.integers, these fail by name."""
+
+    @pytest.mark.parametrize("seed", [1, 9, 2**63 + 5])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 7, 250, 2000, 20_000, 100_000])
+    def test_equals_generator_integers(self, n, seed):
+        rows = 8 if n >= 20_000 else 40
+        # 32 spare words: at n = 10^5 a row meets 1.6 rejections on average
+        raw = np.array([keyed_philox(seed, i).bit_generator.random_raw(
+            n // 2 + 32) for i in range(rows)])
+        idx, short = _lemire_indices(raw, n)
+        assert idx.shape == (rows, n) and idx.dtype == np.int64
+        assert short.size == 0
+        for i in range(rows):
+            assert np.array_equal(
+                idx[i], keyed_philox(seed, i).integers(0, n, size=n))
+        if n == 100_000:
+            # most rows passed over a rejection, so the step shifted them
+            naive = (raw.astype("<u8").view("<u4")[:, :n] * np.uint64(n)) >> 32
+            assert (idx != naive).any(axis=1).sum() >= rows // 2
+
+    def test_short_rows_are_reported(self):
+        # at n = 3, (2^32 - 3) mod 3 = 1 rejects exactly the candidate 0
+        words = [
+            [0, 0],  # four rejected candidates
+            [2**31, (2**32 - 1) | (1 << 32)],  # 2^31, 0, 2^32 - 1, 1
+            [0, 5 << 32],  # three rejections, then 5
+            [(2**32 - 1) | (2**32 - 1) << 32, 2**32 - 1],  # 2^32 - 1 thrice
+        ]
+        idx, short = _lemire_indices(np.array(words, dtype=np.uint64), 3)
+        assert short.tolist() == [0, 2]
+        # row 1 passes over its rejected 0 to its fourth candidate
+        assert idx[1].tolist() == [1, 2, 0]
+        assert idx[3].tolist() == [2, 2, 2]
+
 
 class TestBootstrapDistribution:
     def test_constant_sample_gives_zeros(self):
@@ -174,17 +242,50 @@ class TestBootstrapDistribution:
         assert np.all(np.abs(out) <= bound)
         assert np.isfinite(out.mean())
 
-    def test_replicate_b_resamples_from_stream_b_plus_one(self):
-        gen = np.random.default_rng(4)
-        n = 40
-        x = Sample(gen.standard_normal(n))
-        phi = linear_spectrum(2.0)
-        out = bootstrap_distribution(x, phi, 32, RngSpec(9))
+    @staticmethod
+    def replicate_loop(x, phi, B, seed):
+        n = x.n
         w = canonical_weights(phi, n).weights
         base = w @ -np.sort(x.values)
-        for b in range(32):
-            idx = keyed_philox(9, b + 1).integers(0, n, n)
-            assert out[b] == np.sqrt(n) * (w @ -np.sort(x.values[idx]) - base)
+        return np.array([
+            np.sqrt(n) * (w @ -np.sort(
+                x.values[keyed_philox(seed, b + 1).integers(0, n, n)]) - base)
+            for b in range(B)])
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 250, 20_000])
+    def test_replicate_b_resamples_from_stream_b_plus_one(self, n):
+        x = Sample(np.random.default_rng(4).standard_normal(n))
+        phi = linear_spectrum(2.0)
+        # one replicate past the first block boundary
+        B = max(1, BLOCK_FLOATS // n) + 1
+        out = bootstrap_distribution(x, phi, B, RngSpec(9))
+        assert np.array_equal(out, self.replicate_loop(x, phi, B, 9))
+
+    def test_replicate_whose_words_run_short_draws_again(self, monkeypatch):
+        # the spare words almost never run out, so this reports the last
+        # row of a block short and voids its indices until it has four
+        # times the words: that replicate must draw again, twice, from its
+        # own stream
+        n, seed = 250, 2**63 + 5
+        x = Sample(np.random.default_rng(5).standard_normal(n))
+        lemire = asymptotics._lemire_indices
+        calls = []
+
+        def flaky(raw, n):
+            idx, short = lemire(raw, n)
+            calls.append(raw.shape)
+            if raw.shape[1] < 4 * 126:
+                idx[-1] = 0
+                short = np.append(short, raw.shape[0] - 1)
+            return idx, short
+
+        monkeypatch.setattr(asymptotics, "_lemire_indices", flaky)
+        B = 3 * (BLOCK_FLOATS // n)
+        out = bootstrap_distribution(x, linear_spectrum(2.0), B, RngSpec(seed))
+        # 65 replicates of 126 words per block, each with its last row
+        # drawn again at 252 and then 504 words
+        assert calls == [(65, 126), (1, 252), (1, 504)] * 3
+        assert np.array_equal(out, self.replicate_loop(x, linear_spectrum(2.0), B, seed))
 
 
 class TestKolmogorov:

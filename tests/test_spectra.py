@@ -45,6 +45,28 @@ class TestDensity:
                            r"\(0, 1\]: "):
             uniform_spectrum().density(u)
 
+    NAN_CASES = {
+        "es": lambda: expected_shortfall_spectrum(0.05),
+        "uniform": uniform_spectrum,
+        "linear": lambda: linear_spectrum(2.0),
+        "exponential": lambda: exponential_spectrum(5.0),
+        "step": lambda: step_spectrum(canonical_weights(linear_spectrum(1.0), 4)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NAN_CASES))
+    def test_nan_is_refused(self, kind):
+        # NaN fails every comparison, so a guard that looks for points
+        # outside (0, 1] let it through: ES read 0.0 and a 4-step spectrum
+        # 1.375, a level picked through an invalid int cast
+        phi = self.NAN_CASES[kind]()
+        for u in (float("nan"), np.array([0.5, np.nan])):
+            with pytest.raises(RiskError, match=r"^spectrum evaluated "
+                               r"outside \(0, 1\]: .*nan"):
+                phi.density(u)
+            with pytest.raises(RiskError, match=r"^primitive evaluated "
+                               r"outside \[0, 1\]: .*nan"):
+                phi.primitive(u)
+
 
 class TestPrimitive:
     def test_es_primitive(self):
