@@ -3,8 +3,8 @@
 Discrete expected shortfall, spectral L-estimators and their canonical
 discretisation, the weight/mixture bijection, robust suprema over
 representing sets, black-box weight recovery, and the asymptotic
-diagnostics (influence functions, CLT variance, Efron bootstrap,
-Kolmogorov and Wasserstein distances) behind them.
+diagnostics (CLT variance, Efron bootstrap, Kolmogorov and Wasserstein
+distances) behind them.
 
 The namespace is lazy: ``import riskcore`` loads no submodule, and each
 submodule loads on first use of one of its names. ``riskcore.<name>``
@@ -23,7 +23,6 @@ _EXPORTS = {
         "RngSpec",
         "asymptotic_variance",
         "bootstrap_distribution",
-        "influence_function",
         "kolmogorov_distance",
         "truncated_kolmogorov",
         "wasserstein1",
@@ -32,10 +31,7 @@ _EXPORTS = {
         "Mixture",
         "RepresentingSet",
         "Sample",
-        "SortedSample",
         "WeightVector",
-        "empirical_quantile",
-        "sort_sample",
         "t_inverse",
         "t_map",
     ),
@@ -73,9 +69,7 @@ _EXPORTS = {
         "exponential_spectrum",
         "linear_spectrum",
         "piecewise_linear_spectrum",
-        "primitive_gap",
         "spectrum_from_json",
-        "step_spectrum",
         "uniform_spectrum",
     ),
 }

@@ -1,6 +1,6 @@
-"""Influence functions, the asymptotic-variance double integral, the
-Efron bootstrap with counter-based replicate streams, and the distance
-diagnostics the limit theorems are checked against."""
+"""The asymptotic-variance double integral, the Efron bootstrap with
+counter-based replicate streams, and the distance diagnostics the limit
+theorems are checked against."""
 
 from __future__ import annotations
 
@@ -13,18 +13,14 @@ import numpy as np
 from .core import BLOCK_FLOATS, Sample
 from .errors import RiskError
 from .population import ReferenceDistribution
-from .quadrature import DEFAULT_MAX_EVALS, integrate_piecewise, running_integral
-from .spectra import Floats, Spectrum, canonical_weights
+from .quadrature import integrate_piecewise, running_integral
+from .spectra import Spectrum, canonical_weights
 
 #: truncation of the variance double integral, per side
 VARIANCE_DELTA = 1e-6
 #: absolute tolerance of the variance double integral, at most; the
 #: relative target of 1e-7 takes over for small variances
 VARIANCE_TOL = 1e-9
-#: truncation of influence-function quadrature at the open endpoints
-INFLUENCE_EDGE = 1e-9
-#: absolute tolerance of an influence-function value
-INFLUENCE_TOL = 1e-8
 
 
 @dataclass
@@ -145,9 +141,9 @@ def _spectrum_on_levels(
 
     Substituting u = F(x) turns every q'-weighted integral over (0, 1)
     into an integral of bounded functions over the quantile range: the
-    Jacobian absorbs the quantile derivative exactly. All influence and
-    variance quadrature happens in x-space for that reason, and each
-    integrand computes F once per node and hands the levels here.
+    Jacobian absorbs the quantile derivative exactly. All variance
+    quadrature happens in x-space for that reason, and each integrand
+    computes F once per node and hands the levels here.
     """
     if dist.kind == "point_mass":
         raise RiskError("influence analysis needs a distribution with a density")
@@ -162,38 +158,6 @@ def _quantile_cuts(
     phi: Spectrum, dist: ReferenceDistribution, lo: float, hi: float
 ) -> Tuple[float, ...]:
     return tuple(dist.quantile([b for b in phi.breakpoints if lo < b < hi]).tolist())
-
-
-def influence_function(
-    phi: Spectrum, dist: ReferenceDistribution, x: Floats
-) -> Floats:
-    """First-order kernel IF(x) of the spectral estimator, at every x.
-
-    IF(x) = integral over (0,1) of phi(a) q'(a) (1{x <= q(a)} - a) da is,
-    in x-space on the truncated quantile range [lo_x, hi_x],
-    Psi(hi_x) - Psi(clip(x)) - integral of F*phi(F) over [lo_x, hi_x],
-    with Psi the running integral of phi(F) from lo_x, cut at every x.
-    """
-    phi_u = _spectrum_on_levels(phi, dist)
-    lo, hi = INFLUENCE_EDGE, 1.0 - INFLUENCE_EDGE
-    lo_x, hi_x = float(dist.quantile(lo)), float(dist.quantile(hi))
-    cuts = _quantile_cuts(phi, dist, lo, hi)
-    xs = np.clip(np.asarray(x, dtype=np.float64), lo_x, hi_x)
-    # each x needs a panel of its own, so the budget grows with them
-    psi = running_integral(
-        lambda t: phi_u(dist.cdf(t)), lo_x, hi_x, np.append(cuts, xs).tolist(),
-        0.5 * INFLUENCE_TOL, DEFAULT_MAX_EVALS + 30 * xs.size,
-    )
-
-    def mass_density(t: np.ndarray) -> np.ndarray:
-        u = dist.cdf(t)
-        return u * phi_u(u)
-
-    mass = integrate_piecewise(
-        mass_density, lo_x, hi_x, breakpoints=cuts, tol=0.5 * INFLUENCE_TOL,
-    )
-    out = psi(hi_x) - psi(xs) - mass
-    return float(out) if xs.ndim == 0 else out
 
 
 def asymptotic_variance(phi: Spectrum, dist: ReferenceDistribution) -> float:

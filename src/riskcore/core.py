@@ -22,8 +22,6 @@ SUM_TOL = 1e-12
 ENTRY_SLACK = 1e-15
 #: slack allowed in the non-increasing certificate
 MONOTONE_SLACK = 1e-15
-#: n * alpha within this many ulps of an integer k is read as k
-LEVEL_ULPS = 4
 #: characters of a malformed JSON value a diagnostic repeats
 SHOWN_CHARS = 80
 #: the largest size riskcore takes in: a sample size, a replicate count or
@@ -207,21 +205,6 @@ class Sample:
         return self.n
 
 
-class SortedSample:
-    """A non-decreasing sample plus the stable permutation that produced it."""
-
-    def __init__(self, values: np.ndarray, order: np.ndarray):
-        self.values = _as_readonly(np.asarray(values))
-        self.order = _as_readonly(np.asarray(order))
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def __len__(self) -> int:
-        return self.n
-
-
 class WeightVector:
     """A point of the simplex, optionally certified non-increasing.
 
@@ -311,36 +294,6 @@ class RepresentingSet:
     @property
     def n(self) -> int:
         return self.vertices.shape[1]
-
-
-def sort_sample(x: Sample) -> SortedSample:
-    """Stable sort; the recorded permutation lets law-invariance tests
-    permute deterministically."""
-    order = np.argsort(x.values, kind="stable")
-    return SortedSample(x.values[order], order)
-
-
-def ceil_level(n: int, alpha: Union[float, np.ndarray]) -> Union[int, np.ndarray]:
-    """ceil(n * alpha), reading n * alpha as the integer k when it lies
-    within LEVEL_ULPS ulps of k.
-
-    The float nearest k/n times n can land an ulp above k (n = 100,
-    alpha = 0.07 gives 7.000000000000001), and a bare ceil would then
-    select level k + 1. Every level that picks an order statistic or a
-    step goes through here, so alpha = k/n always selects k.
-    """
-    x = np.multiply(n, alpha, dtype=np.float64)
-    k = np.rint(x)
-    snap = (k >= 1.0) & (np.abs(x - k) <= LEVEL_ULPS * np.spacing(k))
-    out = np.ceil(np.where(snap, k, x)).astype(np.int64)
-    return int(out) if out.ndim == 0 else out
-
-
-def empirical_quantile(s: SortedSample, alpha: float) -> float:
-    """Empirical quantile q_n(alpha) = x_{ceil(n*alpha):n} for alpha in (0, 1]."""
-    if not (0.0 < alpha <= 1.0):
-        raise RiskError(f"alpha must lie in (0, 1], got {alpha}")
-    return float(s.values[ceil_level(s.n, alpha) - 1])
 
 
 def t_map(a: WeightVector) -> Mixture:

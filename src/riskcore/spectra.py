@@ -1,6 +1,5 @@
 """Spectra: bounded non-increasing densities on [0, 1] with unit mass,
-their primitives, canonical discretisation into L-estimator weights, and
-the step-function view of a weight vector.
+their primitives, and canonical discretisation into L-estimator weights.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import WeightVector, ceil_level, json_field, json_type, number_array
+from .core import WeightVector, json_field, json_type, number_array
 from .errors import RiskError
 
 #: grid resolution used to validate (S1)-(S3) and the declared Lipschitz
@@ -31,7 +30,7 @@ class Spectrum:
     """A risk spectrum: non-increasing density phi on (0, 1], unit integral.
 
     bound is the sup-norm C; lipschitz is the Lipschitz constant L where
-    one exists (None for the ES and step families, which jump). primitive
+    one exists (None for the ES family, which jumps). primitive
     is the exact Phi(t), the integral of phi over [0, t]. breakpoints are
     phi's interior kinks, jumps and scales; slope is phi' between them for
     a continuous phi, and None means phi is constant between them. A
@@ -240,47 +239,6 @@ def canonical_weights(phi: Spectrum, n: int) -> WeightVector:
     grid = np.arange(n + 1, dtype=np.float64) / n
     w = np.diff(phi.primitive(grid))
     return WeightVector(np.clip(w, 0.0, None), monotone=True)
-
-
-def step_spectrum(a: WeightVector) -> Spectrum:
-    """Associated step spectrum of a non-increasing weight vector: the
-    value n * a_i on ((i-1)/n, i/n]."""
-    if not a.monotone:
-        raise RiskError("step_spectrum requires a certified monotone vector")
-    n = a.n
-    levels = n * a.weights
-    cum = np.concatenate([[0.0], np.cumsum(levels)]) / n
-
-    def density(u: np.ndarray) -> np.ndarray:
-        return levels[np.clip(ceil_level(n, u) - 1, 0, n - 1)]
-
-    def primitive(t: np.ndarray) -> np.ndarray:
-        # k whole steps lie below t; at t = k/n that is k, not k - 1, so
-        # Phi(k/n) is exactly cum[k]
-        j = ceil_level(n, t)
-        k = np.clip(np.where(j / n <= t, j, j - 1), 0, n - 1)
-        return np.where(t >= 1.0, cum[-1], cum[k] + (t - k / n) * levels[k])
-
-    return Spectrum(
-        kind="step",
-        params={"levels": levels.tolist()},
-        bound=float(levels.max()),
-        lipschitz=None,
-        density=density,
-        primitive=primitive,
-        breakpoints=(np.arange(1, n) / n).tolist(),
-    )
-
-
-def primitive_gap(phi: Spectrum, n: int, grid_size: int) -> float:
-    """Max gap between the canonical step primitive and the true primitive
-    over the grid {j / grid_size}. The distribution-free consistency
-    criterion asks exactly that this tends to 0 in n."""
-    if grid_size < 2:
-        raise RiskError(f"grid_size must be >= 2, got {grid_size}")
-    step = step_spectrum(canonical_weights(phi, n))
-    t = np.arange(grid_size + 1, dtype=np.float64) / grid_size
-    return float(np.max(np.abs(step.primitive(t) - phi.primitive(t))))
 
 
 #: the builder of each JSON spectrum type, and the fields it reads

@@ -1,23 +1,154 @@
-"""Reference numerics only tests use: a keyed-Philox stream, the
-influence-function table, the variance integral as two fresh passes and
-the Kusuoka plug-in surrogate bounds."""
+"""Reference numerics only tests use: a keyed-Philox stream; the float
+level map ceil_level, with the sorted sample and empirical quantile it
+reads; the step spectrum of a weight vector and the primitive gap of the
+canonical weights; the influence function and its table; the variance
+integral as two fresh passes; and the Kusuoka plug-in surrogate bounds."""
 
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from riskcore import (ReferenceDistribution, RepresentingSet, Sample, Spectrum,
-                      discrete_es_profile, influence_function, kusuoka_plugin)
-from riskcore.asymptotics import INFLUENCE_EDGE, VARIANCE_DELTA, VARIANCE_TOL
-from riskcore.core import ceil_level
+                      WeightVector, canonical_weights, discrete_es_profile,
+                      kusuoka_plugin)
+from riskcore.asymptotics import (VARIANCE_DELTA, VARIANCE_TOL, _quantile_cuts,
+                                  _spectrum_on_levels)
+from riskcore.core import _as_readonly
 from riskcore.errors import RiskError
-from riskcore.quadrature import integrate_piecewise, running_integral
+from riskcore.quadrature import (DEFAULT_MAX_EVALS, integrate_piecewise,
+                                 running_integral)
+from riskcore.spectra import Floats
+
+#: n * alpha within this many ulps of an integer k is read as k
+LEVEL_ULPS = 4
+#: truncation of influence-function quadrature at the open endpoints
+INFLUENCE_EDGE = 1e-9
+#: absolute tolerance of an influence-function value
+INFLUENCE_TOL = 1e-8
 
 
 def keyed_philox(seed: int, i: int) -> np.random.Generator:
     """Stream i of a seed, built from scratch: a new Philox keyed
     (i << 64) | seed, which RngSpec(seed).streams()(i) must match."""
     return np.random.Generator(np.random.Philox(key=(i << 64) | seed))
+
+
+class SortedSample:
+    """A non-decreasing sample plus the stable permutation that produced it."""
+
+    def __init__(self, values: np.ndarray, order: np.ndarray):
+        self.values = _as_readonly(np.asarray(values))
+        self.order = _as_readonly(np.asarray(order))
+
+    @property
+    def n(self) -> int:
+        return self.values.size
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def sort_sample(x: Sample) -> SortedSample:
+    """Stable sort; the recorded permutation lets law-invariance tests
+    permute deterministically."""
+    order = np.argsort(x.values, kind="stable")
+    return SortedSample(x.values[order], order)
+
+
+def ceil_level(n: int, alpha: Union[float, np.ndarray]) -> Union[int, np.ndarray]:
+    """ceil(n * alpha), reading n * alpha as the integer k when it lies
+    within LEVEL_ULPS ulps of k.
+
+    The float nearest k/n times n can land an ulp above k (n = 100,
+    alpha = 0.07 gives 7.000000000000001), and a bare ceil would then
+    select level k + 1. Every level that picks an order statistic or a
+    step goes through here, so alpha = k/n always selects k.
+    """
+    x = np.multiply(n, alpha, dtype=np.float64)
+    k = np.rint(x)
+    snap = (k >= 1.0) & (np.abs(x - k) <= LEVEL_ULPS * np.spacing(k))
+    out = np.ceil(np.where(snap, k, x)).astype(np.int64)
+    return int(out) if out.ndim == 0 else out
+
+
+def empirical_quantile(s: SortedSample, alpha: float) -> float:
+    """Empirical quantile q_n(alpha) = x_{ceil(n*alpha):n} for alpha in (0, 1]."""
+    if not (0.0 < alpha <= 1.0):
+        raise RiskError(f"alpha must lie in (0, 1], got {alpha}")
+    return float(s.values[ceil_level(s.n, alpha) - 1])
+
+
+def step_spectrum(a: WeightVector) -> Spectrum:
+    """Associated step spectrum of a non-increasing weight vector: the
+    value n * a_i on ((i-1)/n, i/n]."""
+    if not a.monotone:
+        raise RiskError("step_spectrum requires a certified monotone vector")
+    n = a.n
+    levels = n * a.weights
+    cum = np.concatenate([[0.0], np.cumsum(levels)]) / n
+
+    def density(u: np.ndarray) -> np.ndarray:
+        return levels[np.clip(ceil_level(n, u) - 1, 0, n - 1)]
+
+    def primitive(t: np.ndarray) -> np.ndarray:
+        # k whole steps lie below t; at t = k/n that is k, not k - 1, so
+        # Phi(k/n) is exactly cum[k]
+        j = ceil_level(n, t)
+        k = np.clip(np.where(j / n <= t, j, j - 1), 0, n - 1)
+        return np.where(t >= 1.0, cum[-1], cum[k] + (t - k / n) * levels[k])
+
+    return Spectrum(
+        kind="step",
+        params={"levels": levels.tolist()},
+        bound=float(levels.max()),
+        lipschitz=None,
+        density=density,
+        primitive=primitive,
+        breakpoints=(np.arange(1, n) / n).tolist(),
+    )
+
+
+def primitive_gap(phi: Spectrum, n: int, grid_size: int) -> float:
+    """Max gap between the canonical step primitive and the true primitive
+    over the grid {j / grid_size}. The distribution-free consistency
+    criterion asks exactly that this tends to 0 in n."""
+    if grid_size < 2:
+        raise RiskError(f"grid_size must be >= 2, got {grid_size}")
+    step = step_spectrum(canonical_weights(phi, n))
+    t = np.arange(grid_size + 1, dtype=np.float64) / grid_size
+    return float(np.max(np.abs(step.primitive(t) - phi.primitive(t))))
+
+
+def influence_function(
+    phi: Spectrum, dist: ReferenceDistribution, x: Floats
+) -> Floats:
+    """First-order kernel IF(x) of the spectral estimator, at every x.
+
+    IF(x) = integral over (0,1) of phi(a) q'(a) (1{x <= q(a)} - a) da is,
+    in x-space on the truncated quantile range [lo_x, hi_x],
+    Psi(hi_x) - Psi(clip(x)) - integral of F*phi(F) over [lo_x, hi_x],
+    with Psi the running integral of phi(F) from lo_x, cut at every x.
+    """
+    phi_u = _spectrum_on_levels(phi, dist)
+    lo, hi = INFLUENCE_EDGE, 1.0 - INFLUENCE_EDGE
+    lo_x, hi_x = float(dist.quantile(lo)), float(dist.quantile(hi))
+    cuts = _quantile_cuts(phi, dist, lo, hi)
+    xs = np.clip(np.asarray(x, dtype=np.float64), lo_x, hi_x)
+    # each x needs a panel of its own, so the budget grows with them
+    psi = running_integral(
+        lambda t: phi_u(dist.cdf(t)), lo_x, hi_x, np.append(cuts, xs).tolist(),
+        0.5 * INFLUENCE_TOL, DEFAULT_MAX_EVALS + 30 * xs.size,
+    )
+
+    def mass_density(t: np.ndarray) -> np.ndarray:
+        u = dist.cdf(t)
+        return u * phi_u(u)
+
+    mass = integrate_piecewise(
+        mass_density, lo_x, hi_x, breakpoints=cuts, tol=0.5 * INFLUENCE_TOL,
+    )
+    out = psi(hi_x) - psi(xs) - mass
+    return float(out) if xs.ndim == 0 else out
 
 
 def influence_table(

@@ -33,7 +33,6 @@ from riskcore import (
     rate_experiment,
     recover_comonotonic_weights,
     robust_sup,
-    step_spectrum,
     t_inverse,
     t_map,
     uniform_spectrum,
@@ -42,7 +41,7 @@ from riskcore.asymptotics import asymptotic_variance
 from riskcore.harness import sample_from
 from riskcore.quadrature import adaptive_simpson, integrate_piecewise
 from conftest import draw_monotone_simplex, draw_simplex
-from helpers import influence_table, keyed_philox
+from helpers import influence_table, keyed_philox, step_spectrum
 
 UNIFORM01 = ReferenceDistribution("uniform", a=0.0, b=1.0)
 NORMAL01 = ReferenceDistribution("normal", mean=0.0, sd=1.0)

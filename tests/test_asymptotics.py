@@ -15,7 +15,6 @@ from riskcore import (
     canonical_weights,
     expected_shortfall_spectrum,
     exponential_spectrum,
-    influence_function,
     kolmogorov_distance,
     linear_spectrum,
     piecewise_linear_spectrum,
@@ -28,7 +27,8 @@ from riskcore.asymptotics import BLOCK_FLOATS, _lemire_indices, indexed_map
 from riskcore.errors import RiskError
 from riskcore.harness import bundled_lipschitz_class, sample_from
 from riskcore.quadrature import adaptive_simpson
-from helpers import influence_table, keyed_philox, two_pass_variance
+from helpers import (influence_function, influence_table, keyed_philox,
+                     two_pass_variance)
 
 
 class TestRngSpec:

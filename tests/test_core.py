@@ -9,14 +9,13 @@ from riskcore import (
     Mixture,
     Sample,
     WeightVector,
-    empirical_quantile,
-    sort_sample,
     t_inverse,
     t_map,
 )
 from riskcore.core import MAX_SIZE, RepresentingSet, json_field, simplex_array
 from riskcore.errors import RiskError
 from conftest import draw_monotone_simplex, draw_simplex, rational_level
+from helpers import empirical_quantile, sort_sample
 
 
 class TestSample:

@@ -17,7 +17,6 @@ from riskcore import (
     canonical_weights,
     discrete_es,
     discrete_es_profile,
-    empirical_quantile,
     expected_shortfall_spectrum,
     kusuoka_plugin,
     l_estimate,
@@ -26,8 +25,6 @@ from riskcore import (
     mixture_estimate,
     recover_comonotonic_weights,
     robust_sup,
-    sort_sample,
-    step_spectrum,
     t_map,
     uniform_spectrum,
 )
@@ -35,6 +32,7 @@ from riskcore.errors import RiskError
 from riskcore.core import BLOCK_FLOATS
 from riskcore.estimators import oracle_values
 from conftest import draw_monotone_simplex, draw_simplex
+from helpers import empirical_quantile, sort_sample, step_spectrum
 
 X3 = Sample([3.0, -1.0, 2.0])
 

@@ -1,13 +1,25 @@
-"""The lazy package namespace: every public name resolves to the object its
-defining module holds at the moment of access."""
+"""The package's names. The public surface is pinned, and the lazy
+namespace serves each name from the object its defining module holds at
+the moment of access. The reference numerics that moved out of the
+package are served from the test helpers and named nowhere in it. Every
+module uses every name it imports."""
 
+import ast
 import importlib
+import pathlib
+import re
 
 import pytest
 
+import helpers
 import riskcore
 
 PUBLIC = [name for name in riskcore.__all__ if name != "__version__"]
+SRC = pathlib.Path(riskcore.__file__).parent
+#: reference numerics kept only in tests/helpers.py
+MOVED = ["influence_function", "SortedSample", "sort_sample",
+         "empirical_quantile", "step_spectrum", "primitive_gap", "ceil_level",
+         "LEVEL_ULPS", "INFLUENCE_EDGE", "INFLUENCE_TOL"]
 
 
 @pytest.mark.parametrize("name", PUBLIC)
@@ -23,6 +35,19 @@ def test_name_is_served_from_its_defining_module(name, monkeypatch):
     monkeypatch.undo()
     assert getattr(riskcore, name) is obj
     assert name not in vars(riskcore)  # served, never cached
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_moved_reference_is_served_from_helpers(name):
+    obj = getattr(helpers, name)
+    if callable(obj):
+        assert obj.__module__ == "helpers"
+    assert name not in riskcore.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(riskcore, name)
+    word = re.compile(rf"\b{name}\b")
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if word.search(p.read_text(encoding="utf-8"))] == []
 
 
 def test_all_is_public_and_unique():
@@ -46,3 +71,40 @@ def test_star_import():
     exec("from riskcore import *", namespace)
     assert set(riskcore.__all__) <= set(namespace)
     assert namespace["discrete_es"] is riskcore.estimators.discrete_es
+
+
+def test_public_surface_is_pinned():
+    assert sorted(riskcore.__all__) == [
+        "ExperimentReport", "LipschitzClass", "Mixture", "ReferenceDistribution",
+        "RepresentingSet", "RiskError", "RngSpec", "Sample", "Spectrum",
+        "WeightVector", "__version__", "asymptotic_variance", "bootstrap_check",
+        "bootstrap_distribution", "bundled_lipschitz_class", "canonical_weights",
+        "check_axioms", "clt_check", "consistency_sweep", "discrete_es",
+        "discrete_es_profile", "distribution_from_json",
+        "expected_shortfall_spectrum", "exponential_spectrum",
+        "kolmogorov_distance", "kusuoka_plugin", "l_estimate",
+        "l_estimator_oracle", "linear_spectrum", "mixture_estimate",
+        "piecewise_linear_spectrum", "population_es", "population_spectral_risk",
+        "rate_experiment", "recover_comonotonic_weights", "robust_sup",
+        "spectrum_from_json", "t_inverse", "t_map", "truncated_kolmogorov",
+        "uniform_spectrum", "wasserstein1",
+    ]
+
+
+def test_every_imported_name_is_used():
+    # __init__ names its exports as strings, which no Name node holds
+    unused = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -17,13 +17,13 @@ from riskcore import (
     piecewise_linear_spectrum,
     population_es,
     population_spectral_risk,
-    step_spectrum,
     uniform_spectrum,
 )
 from riskcore.cli import main
 from riskcore.errors import RiskError
 from riskcore.population import LAW_PARAMS, distribution_to_json
 from riskcore.quadrature import adaptive_simpson
+from helpers import step_spectrum
 
 ALL_KINDS = ["uniform01", "std_normal", "exponential1"]
 

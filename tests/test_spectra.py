@@ -13,15 +13,14 @@ from riskcore import (
     exponential_spectrum,
     linear_spectrum,
     piecewise_linear_spectrum,
-    primitive_gap,
     spectrum_from_json,
-    step_spectrum,
     uniform_spectrum,
 )
 from riskcore.errors import RiskError
-from riskcore.core import WeightVector, ceil_level
+from riskcore.core import WeightVector
 from riskcore.spectra import VALIDATION_GRID, spectrum_to_json
 from conftest import draw_monotone_simplex, rational_level
+from helpers import ceil_level, primitive_gap, step_spectrum
 
 
 class TestDensity:
