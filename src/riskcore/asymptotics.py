@@ -10,7 +10,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import BLOCK_FLOATS, Sample
+from .core import Sample, sorted_estimates
 from .errors import RiskError
 from .population import ReferenceDistribution
 from .quadrature import integrate_piecewise, running_integral
@@ -83,28 +83,13 @@ def indexed_map(
     fn: Callable[[int], np.ndarray], count: int, weights: np.ndarray,
     step: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
 ) -> np.ndarray:
-    """The replicate kernel: fn(i) draws replicate i from its own stream,
-    called once per replicate in index order. A block of draws is stacked,
-    made samples by step(block, its first replicate) if given, sorted along
-    rows and negated in place; the plug-in weights then act on each row
-    with a dot product of its own, as a blocked matrix product would not
-    give the same bits. A replicate's sample never depends on its block, so
-    neither does any result. Row i of the result is replicate i's estimate
-    (a scalar for 1-D weights, one per weight row for an (m, n) array).
-    The bootstrap's fn(b) draws stream b + 1's raw words, and its step
-    gathers at Lemire draws on them, low half first on every byte order,
-    which are Generator.integers(0, n, size=n) at numpy 2.4."""
-    per = max(1, BLOCK_FLOATS // weights.shape[-1])
-    estimates = []
-    for first in range(0, count, per):
-        block = np.array(
-            [fn(i) for i in range(first, min(first + per, count))])
-        if step is not None:
-            block = step(block, first)
-        block.sort(axis=1)
-        np.negative(block, out=block)
-        estimates.extend(weights @ row for row in block)
-    return np.array(estimates)
+    """The replicate map: fn(i) draws replicate i from its own stream,
+    called once per replicate in index order, and sorted_estimates weighs
+    the draws, made samples per block by step(block, its first replicate)
+    if given, as the bootstrap's step gathers its resamples. A replicate's
+    sample never depends on its block, so neither does its estimate, row i
+    of the result."""
+    return sorted_estimates(map(fn, range(count)), weights, step)
 
 
 def _lemire_indices(raw: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -218,7 +203,7 @@ def bootstrap_distribution(
         raise RiskError(f"B must be >= 1, got {B}")
     weights = canonical_weights(phi, x.n).weights
     values, n = x.values, x.n
-    base = float(np.dot(weights, -np.sort(values)))
+    base = float(sorted_estimates([values], weights)[0])
     stream = rng.streams()
     # the candidates it takes to accept n are negative binomial, with
     # acceptance chance q: draw words for their mean plus 6 sigma, and

@@ -8,7 +8,8 @@ weighted sums of negated order statistics.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional, Sequence, Union
+from itertools import islice
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,11 +29,34 @@ SHOWN_CHARS = 80
 #: a grid size. At 2^31 - 1 a product of two sizes fits an int64 and every
 #: level k <= n is exact in float64; a float64 array this long is 16 GiB.
 MAX_SIZE = 2**31 - 1
-#: sample values a kernel over rows (replicates, oracle rows) sorts and
-#: negates at once; a row longer than this forms a block of its own
+#: sample values sorted_estimates sorts, negates and weighs at once; a row
+#: longer than this forms a block of its own
 BLOCK_FLOATS = 2**14
 
 ArrayLike = Union[Sequence[float], np.ndarray]
+
+
+def sorted_estimates(
+    rows: Iterable[np.ndarray], weights: np.ndarray,
+    step: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+) -> np.ndarray:
+    """Plug-in estimates of rows: weights on each row sorted and negated.
+    Rows are stacked in blocks of at most BLOCK_FLOATS values (or one row),
+    made samples by step(block, index of its first row) if given, sorted and
+    negated in place, and weighed by one stacked product that gives each
+    row the bits of weights @ row alone, as a blocked matrix product would
+    not. Shape (rows,) for 1-D weights, (rows, m) for (m, n) weights."""
+    rows, per = iter(rows), max(1, BLOCK_FLOATS // weights.shape[-1])
+    estimates, first = [], 0
+    while block := list(islice(rows, per)):
+        block = np.array(block)
+        if step is not None:
+            block = step(block, first)
+        first += len(block)
+        block.sort(axis=1)
+        np.negative(block, out=block)
+        estimates.append(np.matmul(weights, block[..., None])[..., 0])
+    return np.concatenate(estimates) if estimates else np.empty((0, *weights.shape[:-1]))
 
 
 def _as_readonly(values: np.ndarray) -> np.ndarray:
@@ -271,10 +295,8 @@ class RepresentingSet:
                         "sorted-domain representing set requires certified "
                         "non-increasing vertices"
                     )
-            elif isinstance(v, Mixture):
-                arr = v.masses
             else:
-                arr = simplex_array(v, "vertex")
+                arr = v.masses if isinstance(v, Mixture) else simplex_array(v, "vertex")
                 if sorted_domain and np.any(np.diff(arr) > MONOTONE_SLACK):
                     raise RiskError("sorted-domain vertex is not non-increasing")
             rows.append(arr)

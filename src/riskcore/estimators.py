@@ -4,12 +4,11 @@ black-box weight recovery for comonotonic law-invariant estimators."""
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import BLOCK_FLOATS, Mixture, RepresentingSet, Sample, WeightVector
+from .core import Mixture, RepresentingSet, Sample, WeightVector, sorted_estimates
 from .errors import RiskError
 
 #: slack separating float noise from a genuine axiom violation in recovery
@@ -156,8 +155,7 @@ def l_estimator_oracle(a: WeightVector) -> Oracle:
 
 
 class _LEstimatorOracle:
-    """batch sorts and negates blocks of at most BLOCK_FLOATS values (or
-    one row); each row gets a dot product of its own, as in a call."""
+    """batch weighs rows with core.sorted_estimates: a row reads as its call."""
 
     def __init__(self, weights: np.ndarray) -> None:
         self.weights = weights
@@ -166,14 +164,12 @@ class _LEstimatorOracle:
         return float(self.batch([values])[0])
 
     def batch(self, rows: Iterable[np.ndarray]) -> np.ndarray:
-        n, rows, values = self.weights.size, iter(rows), [np.empty(0)]
-        per = max(1, BLOCK_FLOATS // n)
-        while block := list(islice(rows, per)):
-            block = [np.asarray(x, dtype=np.float64) for x in block]
-            for x in block:
-                if x.shape != (n,):
-                    raise RiskError(f"weights have length {n}, sample {x.size}")
-            block = np.array(block)
-            block.sort(axis=1)
-            values.append(np.vecdot(np.negative(block, out=block), self.weights))
-        return np.concatenate(values)
+        n = self.weights.size
+
+        def checked(values: np.ndarray) -> np.ndarray:
+            x = np.asarray(values, dtype=np.float64)
+            if x.shape != (n,):
+                raise RiskError(f"weights have length {n}, sample {x.size}")
+            return x
+
+        return sorted_estimates(map(checked, rows), self.weights)

@@ -23,7 +23,8 @@ from riskcore import (
     wasserstein1,
 )
 from riskcore import asymptotics
-from riskcore.asymptotics import BLOCK_FLOATS, _lemire_indices, indexed_map
+from riskcore.asymptotics import _lemire_indices, indexed_map
+from riskcore.core import BLOCK_FLOATS
 from riskcore.errors import RiskError
 from riskcore.harness import bundled_lipschitz_class, sample_from
 from riskcore.quadrature import adaptive_simpson
@@ -151,41 +152,33 @@ class TestIndexedMap:
         n = 300
         count = 2 * (BLOCK_FLOATS // n) + 7
         events = []
+        # the weight of the smallest value alone: replicate i's estimate
+        # is -(i + 0.5), its draw's last entry
+        weights = np.eye(n)[0]
 
         def fn(i):
             events.append(i)
-            return np.full(n, i + 0.5)
+            return i + 0.5 + np.arange(n)[::-1]
 
-        class FirstValue:
-            shape = (n,)
-
-            def __matmul__(self, row):
-                events.append("dot")
-                return row[0]
-
-        out = indexed_map(fn, count, FirstValue())
-        assert [e for e in events if e != "dot"] == list(range(count))
-        # a block's draws all come before its dots
-        runs = "".join("d" if e == "dot" else "f" for e in events)
-        assert runs == ("f" * 54 + "d" * 54) * 2 + "f" * 7 + "d" * 7
+        out = indexed_map(fn, count, weights)
+        assert events == list(range(count))
         assert np.array_equal(out, -(np.arange(count) + 0.5))
 
-        # a step runs once per block, after the block's draws and before
-        # its dots, on those draws stacked, and is told the first replicate
+        # a step runs once per block, after the block's draws, on those
+        # draws stacked, and is told the first replicate
         events.clear()
 
         def step(block, first):
-            events.append(("step", first, block[:, 0].tolist()))
+            events.append(("step", first, block[:, -1].tolist()))
             return block * 2.0
 
-        out = indexed_map(fn, count, FirstValue(), step)
+        out = indexed_map(fn, count, weights, step)
         assert [e for e in events if isinstance(e, int)] == list(range(count))
         steps = [e for e in events if isinstance(e, tuple)]
         assert steps == [("step", first, [i + 0.5 for i in range(first, stop)])
                          for first, stop in ((0, 54), (54, 108), (108, count))]
-        runs = "".join("d" if e == "dot" else "f" if isinstance(e, int) else "s"
-                       for e in events)
-        assert runs == ("f" * 54 + "s" + "d" * 54) * 2 + "f" * 7 + "s" + "d" * 7
+        runs = "".join("f" if isinstance(e, int) else "s" for e in events)
+        assert runs == ("f" * 54 + "s") * 2 + "f" * 7 + "s"
         assert np.array_equal(out, -2.0 * (np.arange(count) + 0.5))
 
 

@@ -167,6 +167,15 @@ class TestRepresentingSet:
             RepresentingSet([[0.4, 0.6]], sorted_domain=True)
         RepresentingSet([[0.4, 0.6]], sorted_domain=False)
 
+    def test_sorted_domain_checks_a_mixture_vertex_as_a_list(self):
+        # masses used as weights on the sorted sample must not increase
+        with pytest.raises(RiskError, match=r"^sorted-domain vertex is not "
+                           r"non-increasing$"):
+            RepresentingSet([Mixture([0.0, 1.0])], sorted_domain=True)
+        RepresentingSet([Mixture([0.0, 1.0])], sorted_domain=False)
+        M = RepresentingSet([Mixture([0.75, 0.25])], sorted_domain=True)
+        assert M.vertices.tolist() == [[0.75, 0.25]]
+
     def test_uncertified_weightvector_rejected_on_sorted_domain(self):
         w = WeightVector([0.6, 0.4])  # numerically monotone, no certificate
         with pytest.raises(RiskError, match=r"^sorted-domain representing "

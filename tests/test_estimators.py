@@ -395,3 +395,8 @@ class TestLEstimatorOracle:
 
         assert oracle.batch(rows()).tolist() == [-float(i) for i in range(13)]
         assert most[0] <= 4 + 1
+
+    def test_an_empty_batch_is_an_empty_float_array(self):
+        oracle = l_estimator_oracle(canonical_weights(uniform_spectrum(), 8))
+        values = oracle.batch([])
+        assert values.dtype == np.float64 and values.shape == (0,)

@@ -1,8 +1,9 @@
 """The package's names. The public surface is pinned, and the lazy
 namespace serves each name from the object its defining module holds at
 the moment of access. The reference numerics that moved out of the
-package are served from the test helpers and named nowhere in it. Every
-module uses every name it imports."""
+package are served from the test helpers and named nowhere in it. Only
+core names the block size of the kernel over rows. Every module uses
+every name it imports."""
 
 import ast
 import importlib
@@ -48,6 +49,13 @@ def test_moved_reference_is_served_from_helpers(name):
     word = re.compile(rf"\b{name}\b")
     assert [p.name for p in sorted(SRC.glob("*.py"))
             if word.search(p.read_text(encoding="utf-8"))] == []
+
+
+def test_only_core_names_the_block_size():
+    # one block decision: every kernel over rows of samples is core's
+    word = re.compile(r"\bBLOCK_FLOATS\b")
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if word.search(p.read_text(encoding="utf-8"))] == ["core.py"]
 
 
 def test_all_is_public_and_unique():
